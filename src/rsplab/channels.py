@@ -1,99 +1,52 @@
-"""Qubit channels: Kraus form, affine Bloch form, Choi test, factorization.
+"""Qubit channels: Pauli transfer matrix, Kraus and Choi forms, factorization.
 
 A channel acts on single-qubit states; on Bloch vectors it is the
-affine map r -> t + T r.  The two representations are kept together:
-``QubitChannel.from_kraus`` derives (t, T) from the operators, and
-``QubitChannel.from_affine`` accepts (t, T) directly after verifying
-complete positivity through the Choi matrix.  ``factorize`` splits T by
-singular value decomposition into rotations and a scaling, the form
-used for the unital-monotonicity analysis.
+affine map r -> t + T r.  Every channel is stored as its Pauli transfer
+matrix M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2, the real 4x4 matrix
+1 (+) (t, T): M[0] = (1, 0, 0, 0), M[1:, 0] = t and M[1:, 1:] = T.  A
+product channel acts on a state's coefficient matrix C (see ``states``)
+as C -> M_A C M_B^T, which is how ``apply_local`` applies it, whatever
+form the channel was given in.  ``QubitChannel.from_kraus`` derives M
+from Kraus operators, and ``QubitChannel.from_affine`` accepts (t, T)
+directly after verifying complete positivity through the Choi matrix.
+``factorize`` splits T by singular value decomposition into rotations
+and a scaling, the form used for the unital-monotonicity analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, ID2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import TwoQubitState
+from .linalg import DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import PauliDecomposition, TwoQubitState, compose
 
 CHOI_TOL = 1e-9
 
-_BASIS1 = (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-
-@dataclass(frozen=True)
-class AffineRep:
+class AffineRep(NamedTuple):
     """Affine Bloch-ball action r -> t + T r of a qubit channel."""
 
     t: np.ndarray
     tmat: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(3)
-        tmat = np.asarray(self.tmat, dtype=float).reshape(3, 3)
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(tmat))):
-            raise ValueError("affine representation entries must be finite")
-        t.setflags(write=False)
-        tmat.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "tmat", tmat)
 
-
-def _apply_kraus(kraus, x: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for k in kraus:
-        out += k @ x @ k.conj().T
-    return out
-
-
-def kraus_to_affine(kraus, tol: float = DEFAULT_TOL) -> AffineRep:
-    """Affine (t, T) of a trace-preserving Kraus set.
-
-    t_i = tr(sigma_i Phi(I)) / 2 and T_ij = tr(sigma_i Phi(sigma_j)) / 2.
-
-    Raises:
-        ValueError: if the set is not trace preserving within ``tol`` or
-            the computed coefficients carry imaginary parts above it.
-    """
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    if not kraus:
-        raise ValueError("empty Kraus set")
-    for k in kraus:
-        if k.shape != (2, 2):
-            raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
-    complete = sum(k.conj().T @ k for k in kraus)
-    dev = np.abs(complete - ID2).max()
-    if dev > tol:
-        raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
-    phi_i = _apply_kraus(kraus, ID2)
-    t = np.empty(3)
-    tmat = np.empty((3, 3))
-    worst_imag = 0.0
-    for i, si in enumerate(PAULIS):
-        val = 0.5 * np.trace(si @ phi_i)
-        worst_imag = max(worst_imag, abs(val.imag))
-        t[i] = val.real
-    for j, sj in enumerate(PAULIS):
-        phi_sj = _apply_kraus(kraus, sj)
-        for i, si in enumerate(PAULIS):
-            val = 0.5 * np.trace(si @ phi_sj)
-            worst_imag = max(worst_imag, abs(val.imag))
-            tmat[i, j] = val.real
-    if worst_imag > tol:
-        raise ValueError(f"affine coefficients not real: max imag {worst_imag:.3e}")
-    return AffineRep(t=t, tmat=tmat)
+def _ptm(t, tmat) -> np.ndarray:
+    """The Pauli transfer matrix 1 (+) (t, T) of an affine map."""
+    m = np.zeros((4, 4))
+    m[0, 0] = 1.0
+    m[1:, 0] = np.asarray(t, dtype=float).reshape(3)
+    m[1:, 1:] = np.asarray(tmat, dtype=float).reshape(3, 3)
+    return m
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
     """Choi matrix sum_ij |i><j| o Phi(|i><j|) from Kraus operators."""
-    c = np.zeros((4, 4), dtype=complex)
-    for k in kraus:
-        v = np.asarray(k, dtype=complex).T.reshape(4)
-        c += np.outer(v, v.conj())
-    return c
+    v = np.asarray(kraus, dtype=complex).transpose(0, 2, 1).reshape(-1, 4)
+    return np.einsum("kx,ky->xy", v, v.conj())
 
 
 def choi_from_affine(t, tmat) -> np.ndarray:
@@ -103,19 +56,9 @@ def choi_from_affine(t, tmat) -> np.ndarray:
     X = x0 I + x.sigma maps to x0 I + (x0 t + T x).sigma.  Useful for
     testing maps that are not channels (the Choi then fails PSD).
     """
-    t = np.asarray(t, dtype=float).reshape(3)
-    tmat = np.asarray(tmat, dtype=float).reshape(3, 3)
-    c = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            basis = np.zeros((2, 2), dtype=complex)
-            basis[i, j] = 1.0
-            x0 = 0.5 * np.trace(basis)
-            x = np.array([0.5 * np.trace(s @ basis) for s in PAULIS])
-            out_vec = x0 * t + tmat @ x
-            phi = x0 * ID2 + sum(out_vec[k] * PAULIS[k] for k in range(3))
-            c[2 * i:2 * i + 2, 2 * j:2 * j + 2] = phi
-    return c
+    # Phi(|i><j|) = sum_{mu nu} M[mu, nu] sigma_nu[j, i] sigma_mu / 2
+    choi = np.einsum("mn,nji,mab->iajb", _ptm(t, tmat), PAULI_BASIS, PAULI_BASIS)
+    return 0.5 * choi.reshape(4, 4)
 
 
 def affine_to_kraus(t, tmat, tol: float = CHOI_TOL):
@@ -137,43 +80,78 @@ def affine_to_kraus(t, tmat, tol: float = CHOI_TOL):
 
 
 class QubitChannel:
-    """Immutable qubit channel holding Kraus and affine forms.
+    """Immutable qubit channel stored as its Pauli transfer matrix.
 
     Attributes:
-        kraus: tuple of 2x2 operators, possibly empty for affine-defined
-            channels (those cannot be used where Kraus form is required).
-        affine: the AffineRep (always present).
+        kraus: tuple of 2x2 operators the channel was built from, empty
+            for affine-defined channels.
+        ptm: the real 4x4 Pauli transfer matrix 1 (+) (t, T).
+        affine: the AffineRep (t, T), read-only views into ``ptm``.
         choi: 4x4 Choi matrix, PSD within 1e-9, trace 2.
     """
 
-    __slots__ = ("kraus", "affine", "choi")
+    __slots__ = ("kraus", "ptm", "choi")
 
-    def __init__(self, kraus, affine: AffineRep, choi: np.ndarray):
+    def __init__(self, kraus, ptm: np.ndarray, choi: np.ndarray):
         kraus = tuple(np.asarray(k, dtype=complex).copy() for k in kraus)
         for k in kraus:
             k.setflags(write=False)
+        ptm = np.array(ptm, dtype=float)
+        ptm.setflags(write=False)
         choi = np.asarray(choi, dtype=complex).copy()
         choi.setflags(write=False)
         self.kraus = kraus
-        self.affine = affine
+        self.ptm = ptm
         self.choi = choi
+
+    @property
+    def affine(self) -> AffineRep:
+        return AffineRep(t=self.ptm[1:, 0], tmat=self.ptm[1:, 1:])
 
     @classmethod
     def from_kraus(cls, ops, tol: float = DEFAULT_TOL) -> "QubitChannel":
-        affine = kraus_to_affine(ops, tol=tol)
-        choi = choi_from_kraus(ops)
+        """Channel of a trace-preserving Kraus set.
+
+        Raises:
+            ValueError: if the set is empty, an operator is not 2x2, the
+                set is not trace preserving within ``tol``, the transfer
+                matrix carries imaginary parts above ``tol``, or the Choi
+                matrix has trace other than 2 or is not PSD.
+        """
+        ops = [np.asarray(k, dtype=complex) for k in ops]
+        if not ops:
+            raise ValueError("empty Kraus set")
+        for k in ops:
+            if k.shape != (2, 2):
+                raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
+        kraus = np.stack(ops)
+        complete = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
+        dev = np.abs(complete - ID2).max()
+        if dev > tol:
+            raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
+        # M[mu, nu] = sum_k tr(sigma_mu K sigma_nu K^dag) / 2
+        m = 0.5 * np.einsum("mab,kbc,ncd,kad->mn", PAULI_BASIS, kraus,
+                            PAULI_BASIS, kraus.conj())
+        imag = np.abs(m.imag).max()
+        if imag > tol:
+            raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
+        choi = choi_from_kraus(kraus)
         if abs(np.trace(choi).real - 2.0) > tol:
             raise ValueError("Choi trace differs from 2")
         if not linalg.psd_check(choi, tol=CHOI_TOL):
             raise ValueError("Choi matrix not PSD: map is not completely positive")
-        return cls(ops, affine, choi)
+        # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
+        return cls(ops, _ptm(m.real[1:, 0], m.real[1:, 1:]), choi)
 
     @classmethod
     def from_affine(cls, t, tmat, tol: float = CHOI_TOL) -> "QubitChannel":
+        m = _ptm(t, tmat)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("affine representation entries must be finite")
         choi = choi_from_affine(t, tmat)
         if not linalg.psd_check(choi, tol=tol):
             raise ValueError("Choi matrix not PSD: map is not completely positive")
-        return cls((), AffineRep(t=t, tmat=tmat), choi)
+        return cls((), m, choi)
 
     def __repr__(self):
         kind = f"{len(self.kraus)} Kraus ops" if self.kraus else "affine-only"
@@ -200,28 +178,18 @@ def apply_single(ch: QubitChannel, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("input trace differs from 1")
     if not linalg.psd_check(rho, tol=tol):
         raise ValueError("input not PSD")
-    if ch.kraus:
-        return _apply_kraus(ch.kraus, rho)
-    r = np.array([np.trace(s @ rho).real for s in PAULIS])
-    out = ch.affine.t + ch.affine.tmat @ r
-    return 0.5 * (ID2 + sum(out[k] * PAULIS[k] for k in range(3)))
+    r = np.einsum("mab,ba->m", PAULI_BASIS, rho).real
+    return 0.5 * np.einsum("m,mab->ab", ch.ptm @ r, PAULI_BASIS)
 
 
 def apply_local(ch_a: QubitChannel, ch_b: QubitChannel,
                 s: TwoQubitState) -> TwoQubitState:
     """Apply the product channel (A on qubit 1, B on qubit 2) to a state.
 
-    Raises:
-        ValueError: if either channel has no Kraus form.
+    The coefficient matrix maps as C -> M_A C M_B^T.
     """
-    if not ch_a.kraus or not ch_b.kraus:
-        raise ValueError("apply_local requires Kraus form on both channels")
-    ka = np.stack(ch_a.kraus)
-    kb = np.stack(ch_b.kraus)
-    r4 = s.rho.reshape(2, 2, 2, 2)
-    out = np.einsum("iAa,jBb,abcd,iCc,jDd->ABCD",
-                    ka, kb, r4, ka.conj(), kb.conj(), optimize=True)
-    return TwoQubitState(out.reshape(4, 4))
+    c = ch_a.ptm @ s.decomposition.c @ ch_b.ptm.T
+    return compose(PauliDecomposition.from_matrix(c))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +318,13 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
     tmat = ch.affine.tmat
     diag = np.diag(tmat).copy()
     if (np.abs(tmat - np.diag(diag)).max() <= 1e-12
-            and diag[0] >= diag[1] >= diag[2] >= 0.0):
-        # already in canonical form; skip the SVD so degenerate singular
-        # values cannot pick up an arbitrary basis
-        fact = ChannelFactorization(r1=np.eye(3), r2=np.eye(3), diag=diag,
+            and diag[0] >= diag[1] - 1e-12 and diag[1] >= diag[2] - 1e-12
+            and diag[2] >= 0.0):
+        # already in canonical form up to rounding; skip the SVD so
+        # degenerate singular values cannot pick up an arbitrary basis
+        return ChannelFactorization(r1=np.eye(3), r2=np.eye(3),
+                                    diag=np.sort(diag)[::-1].copy(),
                                     sign=1.0, d=t.copy())
-        return fact
     u, svals, vt = np.linalg.svd(tmat)
     r1 = u.copy()
     r2 = vt.T.copy()
@@ -412,7 +381,7 @@ def _sample_unital(rng) -> QubitChannel:
             break
     u_a = linalg.su2_axis_angle(_unit_vector(rng), rng.uniform(0.0, 2.0 * np.pi))
     u_b = linalg.su2_axis_angle(_unit_vector(rng), rng.uniform(0.0, 2.0 * np.pi))
-    ops = [np.sqrt(wi) * (u_a @ g @ u_b) for wi, g in zip(w, _BASIS1)]
+    ops = [np.sqrt(wi) * (u_a @ g @ u_b) for wi, g in zip(w, PAULI_BASIS)]
     ch = QubitChannel.from_kraus(ops)
     if np.linalg.norm(ch.affine.t) > 1e-12:
         raise RuntimeError("sampled channel failed unitality")
@@ -444,6 +413,8 @@ def channel_from_json(obj) -> QubitChannel:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("channel JSON must be an object with a 'type' key")
     kind = obj["type"]
+    if not isinstance(kind, str):
+        raise ValueError(f"channel type must be a string, got {kind!r}")
     if kind == "amplitude_damping":
         return amplitude_damping(_json_prob(obj))
     if kind in _UNITAL_FACTORIES:
@@ -456,11 +427,13 @@ def channel_from_json(obj) -> QubitChannel:
             raise ValueError("kraus channel needs a nonempty 'ops' list")
         ops = []
         for entry in raw_ops:
-            re = np.asarray(entry.get("re"), dtype=float)
+            if not isinstance(entry, dict):
+                raise ValueError("each Kraus op must be an object with 're' "
+                                 "and optional 'im' parts")
+            re = linalg.real_array(entry.get("re"), (2, 2), "Kraus op part 're'")
             im_raw = entry.get("im")
-            im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
-            if re.shape != (2, 2) or im.shape != (2, 2):
-                raise ValueError("each Kraus op needs 2x2 're' and 'im' parts")
+            im = (np.zeros((2, 2)) if im_raw is None
+                  else linalg.real_array(im_raw, (2, 2), "Kraus op part 'im'"))
             ops.append(re + 1.0j * im)
         return QubitChannel.from_kraus(ops)
     raise ValueError(f"unknown channel type {kind!r}")
@@ -469,4 +442,4 @@ def channel_from_json(obj) -> QubitChannel:
 def _json_prob(obj) -> float:
     if "p" not in obj:
         raise ValueError(f"channel type {obj['type']!r} requires a 'p' field")
-    return float(obj["p"])
+    return float(linalg.real_array(obj["p"], (), "channel field 'p'"))

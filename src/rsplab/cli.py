@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -136,19 +135,8 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-def _threads_from_env():
-    raw = os.environ.get("RSPLAB_THREADS")
-    if not raw:
-        return None
-    n = int(raw)
-    if n < 1:
-        raise ValueError("RSPLAB_THREADS must be a positive integer")
-    return n
-
-
 def _cmd_scan(args) -> int:
-    result = enhancement.scan_tetrahedron(resolution=args.resolution,
-                                          threads=_threads_from_env())
+    result = enhancement.scan_tetrahedron(resolution=args.resolution)
     fh = _open_out(args.out)
     try:
         enhancement.write_scan_csv(result, fh, include_summary=True)
@@ -173,16 +161,20 @@ def _cmd_profile(args) -> int:
 
 
 def _verify_reports(suite: str, seed: int, trials):
+    if trials is not None and trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+    def n(default):
+        return default if trials is None else trials
+
     reports = []
     if suite in ("protocol", "all"):
-        reports.append(("protocol",
-                        oracles.protocol_suite(trials or 50, seed=seed)))
+        reports.append(("protocol", oracles.protocol_suite(n(50), seed=seed)))
     if suite in ("gmqd", "all"):
-        reports.append(("gmqd", oracles.gmqd_suite(trials or 20, seed=seed)))
+        reports.append(("gmqd", oracles.gmqd_suite(n(20), seed=seed)))
     if suite in ("monotonicity", "all"):
         reports.append(("monotonicity",
-                        oracles.unital_monotonicity_suite(trials or 10000,
-                                                          seed=seed)))
+                        oracles.unital_monotonicity_suite(n(10000), seed=seed)))
     if suite in ("witness", "all"):
         reports.append(("witness", oracles.nonunital_increase_witness()))
         reports.append(("discord_raising", oracles.discord_raising_check()))

@@ -15,7 +15,6 @@ the tetrahedron scan / profile sweeps behind the region plots.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -27,43 +26,7 @@ from .states import (BellDiagonalParams, PauliDecomposition, TwoQubitState,
 EVENT_TOL = 1e-9  # bisection width for event gamma_t
 
 
-@dataclass(frozen=True)
-class DampingPoint:
-    """A damping strength p with q = 1 - p and optional time coordinate.
-
-    gamma_t, when present, satisfies p = 1 - exp(-gamma_t) within 1e-12.
-    """
-
-    p: float
-    q: float
-    gamma_t: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"damping probability must lie in [0,1], got {self.p!r}")
-        if self.q != 1.0 - self.p:
-            raise ValueError("q must equal 1 - p")
-        if self.gamma_t is not None:
-            if self.gamma_t < 0.0:
-                raise ValueError("gamma_t must be nonnegative")
-            if abs(self.p - (1.0 - math.exp(-self.gamma_t))) > 1e-12:
-                raise ValueError("gamma_t inconsistent with p")
-
-    @classmethod
-    def from_p(cls, p: float) -> "DampingPoint":
-        p = float(p)
-        return cls(p=p, q=1.0 - p)
-
-    @classmethod
-    def from_gamma_t(cls, gamma_t: float) -> "DampingPoint":
-        gamma_t = float(gamma_t)
-        q = math.exp(-gamma_t)
-        return cls(p=1.0 - q, q=q, gamma_t=gamma_t)
-
-
 def _p_value(p) -> float:
-    if isinstance(p, DampingPoint):
-        return p.p
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"damping probability must lie in [0,1], got {p!r}")
@@ -85,36 +48,38 @@ def evolve_closed_form(c, p) -> TwoQubitState:
     return compose(PauliDecomposition(a=shift, b=shift, e=e))
 
 
-def _damped_candidates(c1, c2, c3, p):
-    """Squared E-diagonal plus the discord candidate, vectorized in p."""
-    q = 1.0 - p
+def _damped(c1, c2, c3, p, q):
+    """Measures of the damped state at the damping pair (p, q = 1 - p).
+
+    Takes floats or arrays of one shape for p and q.  Returns ``(f, dg,
+    f_cands, dg_cands, e3)``: the two measures, the three max-branch
+    candidates of each, and the middle correlation element
+    E33 = c3 q^2 + p^2.
+    """
     e1sq = (q * c1) ** 2
     e2sq = (q * c2) ** 2
     e3 = c3 * q * q + p * p
-    return e1sq, e2sq, e3 * e3, p * p
+    f_cands = (e1sq, e2sq, e3 * e3)
+    dg_cands = (e1sq, e2sq, e3 * e3 + p * p)
+    total = e1sq + e2sq + e3 * e3
+    top12 = np.maximum(e1sq, e2sq)
+    f = 0.5 * (total - np.maximum(top12, f_cands[2]))
+    dg = 0.5 * (p * p + total - np.maximum(top12, dg_cands[2]))
+    return f, dg, f_cands, dg_cands, e3
 
 
 def f_under_damping(c, p) -> float:
     """RSP-fidelity along the damping trajectory (closed form)."""
     params = as_bell_params(c)
-    e1sq, e2sq, e3sq, _ = _damped_candidates(*params.as_tuple(), _p_value(p))
-    total = e1sq + e2sq + e3sq
-    return 0.5 * (total - max(e1sq, e2sq, e3sq))
+    p = _p_value(p)
+    return float(_damped(*params.as_tuple(), p, 1.0 - p)[0])
 
 
 def dg_under_damping(c, p) -> float:
     """Normalized geometric discord along the damping trajectory."""
     params = as_bell_params(c)
-    e1sq, e2sq, e3sq, psq = _damped_candidates(*params.as_tuple(), _p_value(p))
-    lam_max = max(e1sq, e2sq, e3sq + psq)
-    return 0.5 * (psq + e1sq + e2sq + e3sq - lam_max)
-
-
-def _f_damp_vec(c1, c2, c3, p: np.ndarray) -> np.ndarray:
-    e1sq, e2sq, e3sq, _ = _damped_candidates(c1, c2, c3, p)
-    cands = np.stack([np.broadcast_to(e1sq, p.shape),
-                      np.broadcast_to(e2sq, p.shape), e3sq])
-    return 0.5 * (cands.sum(axis=0) - cands.max(axis=0))
+    p = _p_value(p)
+    return float(_damped(*params.as_tuple(), p, 1.0 - p)[1])
 
 
 def q1(c_max: float, c3: float) -> float:
@@ -180,8 +145,12 @@ def f_derivative(c, q: float) -> float:
     return (c1 * c1 + c2 * c2 - c_max * c_max) * q + e3 * (2.0 * (c3 + 1.0) * q - 2.0)
 
 
-def _enhancible_mask(c1, c2, c3):
-    """Vectorized enhancibility criterion; inputs broadcast together."""
+def _criterion(c1, c2, c3):
+    """Terms of the enhancibility inequality num > rhs * den.
+
+    Inputs broadcast together.  Returns ``(applicable, num, den, rhs)``;
+    the criterion applies where max(|c1|,|c2|) > 0 and |c3| <= it.
+    """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     c3 = np.asarray(c3, dtype=float)
@@ -189,29 +158,27 @@ def _enhancible_mask(c1, c2, c3):
     num = c1 * c1 + c2 * c2
     den = np.minimum(c1 * c1, c2 * c2) + c3 * c3
     disc = np.maximum(c_max * c_max + 4.0 * (c_max - c3), 0.0)
-    root = np.sqrt(disc)
-    rhs = 0.25 * (2.0 + c_max + root) ** 2
+    rhs = 0.25 * (2.0 + c_max + np.sqrt(disc)) ** 2
     applicable = (c_max > 0.0) & (np.abs(c3) <= c_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        strict = num > rhs * den
+    return applicable, num, den, rhs
+
+
+def _enhancible_mask(c1, c2, c3):
+    """Vectorized enhancibility criterion; inputs broadcast together."""
+    applicable, num, den, rhs = _criterion(c1, c2, c3)
     zero_den = (den == 0.0) & (num > 0.0)
-    return applicable & (strict | zero_den)
+    return applicable & ((num > rhs * den) | zero_den)
 
 
 def enhancibility_margin(c) -> float:
     """Signed criterion margin LHS - RHS; +inf for the zero-denominator
     case, -inf when the criterion does not apply (|c3| > c or c = 0)."""
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
-    c_max = max(abs(c1), abs(c2))
-    if c_max == 0.0 or abs(c3) > c_max:
+    applicable, num, den, rhs = _criterion(*as_bell_params(c).as_tuple())
+    if not applicable:
         return -math.inf
-    num = c1 * c1 + c2 * c2
-    den = min(c1 * c1, c2 * c2) + c3 * c3
-    rhs = 0.25 * (2.0 + c_max + math.sqrt(c_max * c_max + 4.0 * (c_max - c3))) ** 2
     if den == 0.0:
         return math.inf
-    return num / den - rhs
+    return float(num / den - rhs)
 
 
 def is_enhancible(c) -> bool:
@@ -252,7 +219,7 @@ def sweep_best_p(c, n: int = 10000):
     params = as_bell_params(c)
     c1, c2, c3 = params.as_tuple()
     grid = np.linspace(0.0, 1.0, int(n))[1:-1]
-    vals = _f_damp_vec(c1, c2, c3, grid)
+    vals = _damped(c1, c2, c3, grid, 1.0 - grid)[0]
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])
 
@@ -322,17 +289,6 @@ class EvolutionTrace:
             raise ValueError("gamma_t grid must be strictly increasing")
 
 
-def _trace_candidates(c1, c2, c3, gamma_t):
-    q = np.exp(-np.asarray(gamma_t, dtype=float))
-    p = 1.0 - q
-    e1sq = (q * c1) ** 2
-    e2sq = (q * c2) ** 2
-    e3 = c3 * q * q + p * p
-    f_cands = np.stack([e1sq, e2sq, e3 * e3])
-    dg_cands = np.stack([e1sq, e2sq, e3 * e3 + p * p])
-    return p, f_cands, dg_cands, e3
-
-
 def _bisect(fn, lo: float, hi: float, tol: float = EVENT_TOL) -> float:
     flo = fn(lo)
     for _ in range(200):
@@ -366,17 +322,18 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     if gamma_t_max <= 0.0:
         raise ValueError("gamma_t_max must be positive")
     gts = np.linspace(0.0, gamma_t_max, steps)
-    p, f_cands, dg_cands, e3 = _trace_candidates(c1, c2, c3, gts)
-    f_vals = 0.5 * (f_cands.sum(axis=0) - f_cands.max(axis=0))
-    dg_vals = 0.5 * (p * p + f_cands.sum(axis=0) - dg_cands.max(axis=0))
+    q = np.exp(-gts)
+    p = 1.0 - q
+    f_vals, dg_vals, f_cands, dg_cands, e3 = _damped(c1, c2, c3, p, q)
 
     def cands_at(gt, which):
-        _, fc, dc, _ = _trace_candidates(c1, c2, c3, np.array([gt]))
-        return (fc if which == "f" else dc)[:, 0]
+        q = np.exp(-np.array([gt]))
+        _, _, fc, dc, _ = _damped(c1, c2, c3, 1.0 - q, q)
+        return [v[0] for v in (fc if which == "f" else dc)]
 
     events = []
     for which, cands in (("f", f_cands), ("dg", dg_cands)):
-        idx = np.argmax(cands, axis=0)
+        idx = np.argmax(np.stack(cands), axis=0)
         for k in np.nonzero(np.diff(idx) != 0)[0]:
             old, new = int(idx[k]), int(idx[k + 1])
 
@@ -396,11 +353,12 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
 
         def e3_at(gt):
             q = math.exp(-gt)
-            return c3 * q * q + (1.0 - q) ** 2
+            return _damped(c1, c2, c3, 1.0 - q, q)[4]
 
         root = _bisect(e3_at, float(gts[k]), float(gts[k + 1]))
-        f_root = f_under_damping(params, DampingPoint.from_gamma_t(root))
-        dg_root = dg_under_damping(params, DampingPoint.from_gamma_t(root))
+        p_root = 1.0 - math.exp(-root)
+        f_root = f_under_damping(params, p_root)
+        dg_root = dg_under_damping(params, p_root)
         # only isolated vanishing points with surviving discord qualify
         if f_root <= 1e-10 and dg_root >= 1e-6:
             touches.append(root)
@@ -483,13 +441,13 @@ class ScanResult:
     symmetry: dict
 
 
-def scan_tetrahedron(resolution: int = 81, threads: Optional[int] = None) -> ScanResult:
+def scan_tetrahedron(resolution: int = 81) -> ScanResult:
     """Tag every tetrahedron lattice point with the enhancibility verdict.
 
     The [-1,1] axis is symmetrized so mirrored lattice points carry
-    exactly negated coordinates, making the symmetry audit exact.
-    ``threads`` > 1 splits the criterion evaluation across a worker
-    pool; chunks are reassembled by index so output is deterministic.
+    exactly negated coordinates, making the symmetry audit exact.  The
+    criterion is evaluated on lattice members only; the audit compares
+    flags only where a point and its mirror image are both members.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -504,17 +462,10 @@ def scan_tetrahedron(resolution: int = 81, threads: Optional[int] = None) -> Sca
               & (1.0 - c1 + c2 + c3 >= -4e-12)
               & (1.0 + c1 - c2 + c3 >= -4e-12)
               & (1.0 + c1 + c2 - c3 >= -4e-12))
-
-    if threads and threads > 1:
-        chunks = np.array_split(np.arange(c1.size), threads * 4)
-        flags_full = np.empty(c1.size, dtype=bool)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_enhancible_mask, c1[ix], c2[ix], c3[ix])
-                       for ix in chunks]
-            for ix, fut in zip(chunks, futures):
-                flags_full[ix] = fut.result()
-    else:
-        flags_full = _enhancible_mask(c1, c2, c3)
+    points = np.stack([c1[member], c2[member], c3[member]], axis=1)
+    flags = _enhancible_mask(points[:, 0], points[:, 1], points[:, 2])
+    flags_full = np.zeros(c1.size, dtype=bool)
+    flags_full[member] = flags
 
     n = resolution
     shape = (n, n, n)
@@ -529,8 +480,6 @@ def scan_tetrahedron(resolution: int = 81, threads: Optional[int] = None) -> Sca
         symmetry[name] = {"holds": mism == 0, "mismatches": mism,
                           "checked": int(np.count_nonzero(both))}
 
-    points = np.stack([c1[member], c2[member], c3[member]], axis=1)
-    flags = flags_full[member]
     fraction = float(np.count_nonzero(flags) / flags.size) if flags.size else 0.0
     return ScanResult(resolution=resolution, points=points, enhancible=flags,
                       fraction=fraction, symmetry=symmetry)

@@ -1,9 +1,9 @@
 """Small dense linear algebra used throughout the package.
 
 Everything here operates on fixed tiny sizes: complex 2x2 and 4x4
-matrices (qubit operators, two-qubit operators, Kraus maps) and real
-3x3 matrices (Bloch-space rotations and correlation matrices).  All
-functions are pure and hold no global state.
+matrices (qubit operators, two-qubit operators, Kraus maps), real 3x3
+Bloch-space rotations and real 4x4 correlation and Pauli transfer
+matrices.  All functions are pure and hold no global state.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_mu for mu = 0..3 with sigma_0 = I: the Pauli-transfer basis
+PAULI_BASIS = np.stack([ID2, *PAULIS])
 
-for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z):
+for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS):
     _m.setflags(write=False)
 
 
@@ -42,32 +44,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def sym3_eigs(m: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a real symmetric 3x3 matrix.
-
-    Args:
-        m: 3x3 real symmetric matrix.
-        tol: maximum allowed entrywise asymmetry.
-
-    Returns:
-        Pair ``(vals, vecs)``: eigenvalues sorted descending and the
-        orthogonal matrix whose column ``i`` is the eigenvector for
-        ``vals[i]``.
-
-    Raises:
-        ValueError: if ``m`` is not 3x3 or not symmetric within ``tol``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"sym3_eigs expects a 3x3 matrix, got {m.shape}")
-    asym = np.abs(m - m.T).max()
-    if asym > tol:
-        raise ValueError(f"matrix not symmetric: max |M - M^T| = {asym:.3e} > {tol:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    # eigh returns ascending order
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, sorted ascending.
 
@@ -81,6 +57,23 @@ def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
     return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+
+
+def real_array(value, shape: tuple, what: str) -> np.ndarray:
+    """Real array of the given shape parsed from nested lists of numbers.
+
+    Raises:
+        ValueError: naming ``what`` if ``value`` is not numeric (for
+            example a JSON null, an object or a ragged list) or has
+            another shape.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ValueError(f"{what} must be numbers of shape {shape}, got {value!r}")
+    return arr
 
 
 def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

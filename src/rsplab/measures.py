@@ -1,6 +1,7 @@
 """Closed-form correlation measures for two-qubit states.
 
-Both measures come straight from the cached Pauli decomposition:
+Both measures are spectra of blocks of the cached coefficient matrix C
+(a = C[1:, 0], E = C[1:, 1:]):
 
 * RSP-fidelity  F = (E2^2 + E3^2) / 2  with E1^2 >= E2^2 >= E3^2 the
   eigenvalues of E^T E,
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym3_eigs
 from .states import TwoQubitState
 
 ORDER_TOL = 1e-9
@@ -38,25 +38,39 @@ class MeasureReport:
         object.__setattr__(self, "e_sq", e_sq)
 
 
-def _e_spectrum(s: TwoQubitState) -> np.ndarray:
-    e = s.e
-    vals, _ = sym3_eigs(e.T @ e)
+def spectra(c):
+    """Both measures of coefficient matrices C, batched over leading axes.
+
+    Args:
+        c: array of shape (..., 4, 4), each C as in ``states``.
+
+    Returns:
+        ``(f_rsp, d_g, e_sq, lambda_max)`` with e_sq of shape (..., 3)
+        holding the eigenvalues of E^T E in descending order.
+    """
+    c = np.asarray(c, dtype=float)
+    a = c[..., 1:, 0]
+    e = c[..., 1:, 1:]
+    et = np.swapaxes(e, -1, -2)
+    vals = np.linalg.eigvalsh(np.stack(
+        [et @ e, a[..., :, None] * a[..., None, :] + e @ et], axis=-3))
     # E^T E is PSD; clip eigensolver noise
-    return np.maximum(vals, 0.0)
+    e_sq = np.maximum(vals[..., 0, ::-1], 0.0)
+    lam_max = vals[..., 1, -1]
+    f = 0.5 * (e_sq[..., 1] + e_sq[..., 2])
+    d = np.maximum(0.5 * (np.sum(a * a, axis=-1) + np.sum(e * e, axis=(-2, -1))
+                          - lam_max), 0.0)
+    return f, d, e_sq, lam_max
 
 
 def rsp_fidelity(s: TwoQubitState) -> float:
     """RSP-fidelity, the sum of the two smallest eigenvalues of E^T E over 2."""
-    e_sq = _e_spectrum(s)
-    return float(0.5 * (e_sq[1] + e_sq[2]))
+    return float(spectra(s.decomposition.c)[0])
 
 
 def gmqd(s: TwoQubitState) -> float:
     """Normalized geometric quantum discord."""
-    a, e = s.a, s.e
-    q = np.outer(a, a) + e @ e.T
-    lam_max = sym3_eigs(q)[0][0]
-    return float(max(0.0, 0.5 * (a @ a + np.sum(e * e) - lam_max)))
+    return float(spectra(s.decomposition.c)[1])
 
 
 def measure_pair(s: TwoQubitState) -> MeasureReport:
@@ -66,13 +80,9 @@ def measure_pair(s: TwoQubitState) -> MeasureReport:
         RuntimeError: if d_g < f_rsp - 1e-9, which can only come from a
             numerical bug, never from a valid state.
     """
-    e_sq = _e_spectrum(s)
-    f = float(0.5 * (e_sq[1] + e_sq[2]))
-    a, e = s.a, s.e
-    q = np.outer(a, a) + e @ e.T
-    lam_max = float(sym3_eigs(q)[0][0])
-    d = float(max(0.0, 0.5 * (a @ a + np.sum(e * e) - lam_max)))
+    f, d, e_sq, lam_max = spectra(s.decomposition.c)
+    f, d = float(f), float(d)
     if d < f - ORDER_TOL:
         raise RuntimeError(f"ordering violated: d_g={d!r} < f_rsp={f!r}")
-    return MeasureReport(f_rsp=f, d_g=d, lambda_max=lam_max,
+    return MeasureReport(f_rsp=f, d_g=d, lambda_max=float(lam_max),
                          e_sq=tuple(e_sq.tolist()))

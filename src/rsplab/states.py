@@ -1,15 +1,15 @@
 """Two-qubit density matrices and their Pauli/Bloch decomposition.
 
 A two-qubit state rho is stored dense (4x4 complex) together with its
-cached decomposition
+cached decomposition, the real 4x4 matrix
 
-    rho = (1/4) [ I o I + a.sigma o I + I o b.sigma
-                  + sum_kl E_kl sigma_k o sigma_l ]
+    C[mu, nu] = tr(rho sigma_mu o sigma_nu),   sigma_0 = I,
 
-where ``a`` and ``b`` are the local Bloch vectors and ``E`` the 3x3
-correlation matrix.  All measure computations downstream read the
-cached (a, b, E), never the raw matrix, so construction is the single
-source of numerical truth.
+so that rho = (1/4) sum_{mu nu} C[mu, nu] sigma_mu o sigma_nu.  Its
+blocks are C[0, 0] = 1, the local Bloch vectors a = C[1:, 0] and
+b = C[0, 1:], and the 3x3 correlation matrix E = C[1:, 1:].  All
+measure computations downstream read the cached C, never the raw
+matrix, so construction is the single source of numerical truth.
 """
 
 from __future__ import annotations
@@ -19,46 +19,72 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, ID2, PAULIS
+from .linalg import DEFAULT_TOL, PAULI_BASIS
 
 # Stack of the 16 products sigma_mu o sigma_nu with sigma_0 = I.
-_BASIS1 = np.stack([ID2, *PAULIS])
-_BASIS16 = np.einsum("mij,nkl->mnikjl", _BASIS1, _BASIS1).reshape(4, 4, 4, 4)
+_BASIS16 = np.einsum("mij,nkl->mnikjl", PAULI_BASIS, PAULI_BASIS).reshape(4, 4, 4, 4)
 _BASIS16.setflags(write=False)
 
 BELL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PauliDecomposition:
     """Bloch vectors and correlation matrix of a two-qubit state.
 
+    Built from ``(a, b, e)`` or, with ``from_matrix``, from the full
+    coefficient matrix C.
+
     Attributes:
-        a: Alice's Bloch vector, shape (3,).
-        b: Bob's Bloch vector, shape (3,).
-        e: correlation matrix E with E[k, l] = tr(rho sigma_k o sigma_l).
+        c: the read-only 4x4 matrix C described in the module docstring.
+        a: Alice's Bloch vector C[1:, 0], shape (3,).
+        b: Bob's Bloch vector C[0, 1:], shape (3,).
+        e: correlation matrix C[1:, 1:] with E[k, l] = tr(rho sigma_k o sigma_l).
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    e: np.ndarray
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(3)
-        b = np.asarray(self.b, dtype=float).reshape(3)
-        e = np.asarray(self.e, dtype=float).reshape(3, 3)
-        for arr in (a, b, e):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("decomposition entries must be finite")
-        if np.linalg.norm(a) > 1 + 1e-9 or np.linalg.norm(b) > 1 + 1e-9:
-            raise ValueError("Bloch vector norm exceeds 1")
-        if np.abs(e).max() > 1 + 1e-9:
-            raise ValueError("correlation matrix entry exceeds 1 in magnitude")
-        for arr in (a, b, e):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "e", e)
+    def __init__(self, a, b, e):
+        c = np.empty((4, 4))
+        c[0, 0] = 1.0
+        c[1:, 0] = np.asarray(a, dtype=float).reshape(3)
+        c[0, 1:] = np.asarray(b, dtype=float).reshape(3)
+        c[1:, 1:] = np.asarray(e, dtype=float).reshape(3, 3)
+        self.c = _checked(c)
+
+    @classmethod
+    def from_matrix(cls, c) -> "PauliDecomposition":
+        """Decomposition with the given coefficient matrix C (copied)."""
+        d = cls.__new__(cls)
+        d.c = _checked(np.array(c, dtype=float))
+        return d
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.c[1:, 0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.c[0, 1:]
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.c[1:, 1:]
+
+
+def _checked(c: np.ndarray) -> np.ndarray:
+    """Validate a coefficient matrix and make it read-only."""
+    if c.shape != (4, 4):
+        raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("decomposition entries must be finite")
+    if abs(c[0, 0] - 1.0) > 1e-9:
+        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {c[0, 0]!r}")
+    if np.linalg.norm(c[1:, 0]) > 1 + 1e-9 or np.linalg.norm(c[0, 1:]) > 1 + 1e-9:
+        raise ValueError("Bloch vector norm exceeds 1")
+    if np.abs(c[1:, 1:]).max() > 1 + 1e-9:
+        raise ValueError("correlation matrix entry exceeds 1 in magnitude")
+    c.setflags(write=False)
+    return c
 
 
 def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
@@ -69,8 +95,8 @@ def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
         tol: validation tolerance.
 
     Returns:
-        The (a, b, E) decomposition with imaginary parts (checked to be
-        below ``tol``) discarded.
+        The decomposition with imaginary parts (checked to be below
+        ``tol``) discarded.
 
     Raises:
         ValueError: if ``rho`` fails any density-matrix check.
@@ -91,8 +117,9 @@ def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
     imag = np.abs(coeff.imag).max()
     if imag > tol:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
-    c = coeff.real
-    return PauliDecomposition(a=c[1:, 0], b=c[0, 1:], e=c[1:, 1:])
+    c = coeff.real.copy()
+    c[0, 0] = 1.0  # tr(rho), already checked to be 1 within tol
+    return PauliDecomposition.from_matrix(c)
 
 
 class TwoQubitState:
@@ -139,12 +166,7 @@ def compose(d: PauliDecomposition) -> TwoQubitState:
         ValueError: if the resulting matrix is not a density matrix
             (signals an invalid decomposition).
     """
-    c = np.empty((4, 4))
-    c[0, 0] = 1.0
-    c[1:, 0] = d.a
-    c[0, 1:] = d.b
-    c[1:, 1:] = d.e
-    rho = 0.25 * np.einsum("mn,mnab->ab", c, _BASIS16)
+    rho = 0.25 * np.einsum("mn,mnab->ab", d.c, _BASIS16)
     return TwoQubitState(rho)
 
 
@@ -239,17 +261,13 @@ def state_from_json(obj: dict) -> TwoQubitState:
         raise ValueError("state JSON must be an object")
     kind = obj.get("type")
     if kind == "bell_diagonal":
-        c = obj.get("c")
-        if c is None or len(c) != 3:
-            raise ValueError("bell_diagonal state needs a 3-entry field 'c'")
-        return bell_diagonal([float(x) for x in c])
+        c = linalg.real_array(obj.get("c"), (3,), "bell_diagonal field 'c'")
+        return bell_diagonal(c)
     if kind == "dense":
         if "re" not in obj or "im" not in obj:
             raise ValueError("dense state needs fields 're' and 'im'")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        if re.shape != (4, 4) or im.shape != (4, 4):
-            raise ValueError("dense state parts must be 4x4")
+        re = linalg.real_array(obj["re"], (4, 4), "dense state part 're'")
+        im = linalg.real_array(obj["im"], (4, 4), "dense state part 'im'")
         return TwoQubitState(re + 1.0j * im)
     raise ValueError(f"unknown state type {kind!r}")
 

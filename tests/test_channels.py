@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsplab.channels import (
     QubitChannel,
@@ -17,13 +19,12 @@ from rsplab.channels import (
     factorize,
     identity_channel,
     is_unital,
-    kraus_to_affine,
     phase_flip,
     probe_directions,
     sample_unital_local,
     unital_builtin,
 )
-from rsplab.linalg import ID2, psd_check, su2_axis_angle
+from rsplab.linalg import ID2, psd_check, rotation_axis_angle, su2_axis_angle
 from rsplab.states import TwoQubitState, bell_diagonal
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -42,6 +43,29 @@ def qubit_state(r):
     from rsplab.linalg import PAULIS
     rho = 0.5 * (ID2 + sum(r[k] * PAULIS[k] for k in range(3)))
     return rho
+
+
+def random_state(rng):
+    g = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+def random_kraus(rng, n_ops):
+    """Kraus set cut from a random isometry V (2n x 2): V^dag V = I."""
+    g = rng.normal(size=(2 * n_ops, 2)) + 1.0j * rng.normal(size=(2 * n_ops, 2))
+    v, _ = np.linalg.qr(g)
+    return list(v.reshape(n_ops, 2, 2))
+
+
+def kraus_sandwich(ka, kb, rho):
+    """Reference action sum (Ka o Kb) rho (Ka o Kb)^dag of a product channel."""
+    ka = np.stack(ka)
+    kb = np.stack(kb)
+    r4 = np.asarray(rho).reshape(2, 2, 2, 2)
+    out = np.einsum("iAa,jBb,abcd,iCc,jDd->ABCD",
+                    ka, kb, r4, ka.conj(), kb.conj(), optimize=True)
+    return out.reshape(4, 4)
 
 
 # --- affine conversion ------------------------------------------------------
@@ -70,7 +94,7 @@ def test_kraus_to_affine_phase_flip():
 def test_kraus_to_affine_rejects_non_tp():
     bad = [np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)]
     with pytest.raises(ValueError):
-        kraus_to_affine(bad)
+        QubitChannel.from_kraus(bad)
 
 
 # --- builtins ---------------------------------------------------------------
@@ -174,7 +198,7 @@ def test_affine_to_kraus_round_trip():
     t = np.array([0.0, 0.0, 0.3])
     tmat = np.diag([np.sqrt(0.7), np.sqrt(0.7), 0.7])
     kraus = affine_to_kraus(t, tmat)
-    aff = kraus_to_affine(kraus)
+    aff = QubitChannel.from_kraus(kraus).affine
     assert np.allclose(aff.t, t, atol=1e-10)
     assert np.allclose(aff.tmat, tmat, atol=1e-10)
 
@@ -189,6 +213,17 @@ def test_factorize_diagonal_descending():
     assert np.allclose(fac.diag, [0.8, 0.5, 0.4], atol=1e-12)
     assert fac.sign == 1.0
     assert np.allclose(fac.d, 0.0, atol=1e-12)
+
+
+def test_factorize_diagonal_up_to_rounding():
+    a = 0.265423
+    diag = np.array([a, a + 5e-17, a])
+    assert diag[1] > diag[0]
+    fac = factorize(QubitChannel.from_affine(np.zeros(3), np.diag(diag)))
+    assert np.array_equal(fac.r1, np.eye(3))
+    assert np.array_equal(fac.r2, np.eye(3))
+    assert fac.diag[0] >= fac.diag[1] >= fac.diag[2]
+    assert np.allclose(fac.diag, diag, atol=1e-15)
 
 
 def test_factorize_unitary_channel():
@@ -299,11 +334,37 @@ def test_apply_local_discord_raising_demo():
     assert np.allclose(out.rho, expected, atol=1e-12)
 
 
-def test_apply_local_requires_kraus():
-    affine_only = QubitChannel.from_affine(np.zeros(3), 0.5 * np.eye(3))
-    s = bell_diagonal(0, 0, 0)
-    with pytest.raises(ValueError):
-        apply_local(affine_only, identity_channel(), s)
+def test_apply_local_accepts_affine_channel():
+    # amplitude damping followed by a rotation, given only as (t, T)
+    rot = rotation_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0, 0.7)
+    t = rot @ np.array([0.0, 0.0, 0.3])
+    tmat = rot @ np.diag([np.sqrt(0.7), np.sqrt(0.7), 0.7])
+    affine_only = QubitChannel.from_affine(t, tmat)
+    assert affine_only.kraus == ()
+    ops = affine_to_kraus(t, tmat)
+    ch_b = phase_flip(0.2)
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        s = random_state(rng)
+        out = apply_local(affine_only, ch_b, s)
+        assert np.abs(out.rho - kraus_sandwich(ops, ch_b.kraus, s.rho)).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 4),
+       n2=st.integers(1, 4), n_b=st.integers(1, 4))
+def test_apply_local_matches_kraus_sandwich(seed, n1, n2, n_b):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng)
+    k1, k2, kb = random_kraus(rng, n1), random_kraus(rng, n2), random_kraus(rng, n_b)
+    ch1, ch2, ch_b = (QubitChannel.from_kraus(k) for k in (k1, k2, kb))
+    out = apply_local(ch1, ch_b, s)
+    assert np.abs(out.rho - kraus_sandwich(k1, kb, s.rho)).max() <= 1e-12
+    # composing the transfer matrices is applying the channels in sequence
+    both = QubitChannel.from_kraus([b @ a for b in k2 for a in k1])
+    assert np.abs(both.ptm - ch2.ptm @ ch1.ptm).max() <= 1e-12
+    seq = apply_local(ch2, identity_channel(), out)
+    assert np.abs(seq.rho - apply_local(both, ch_b, s).rho).max() <= 1e-12
 
 
 # --- sampling ---------------------------------------------------------------

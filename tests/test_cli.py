@@ -171,7 +171,7 @@ def test_verify_gmqd_small(capsys):
     assert payload["gmqd"]["seed"] == 5
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["enhance", "--c=1,2"]) == 2
     capsys.readouterr()
     assert main(["measure", "--state", "no_such_file.json"]) == 2
@@ -182,6 +182,32 @@ def test_bad_inputs_exit_2(capsys):
     assert main(["measure", "--state", "bell:0.1,0.2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    bad_files = [
+        ("--state", {"type": "bell_diagonal", "c": 5}),
+        ("--channel-a", {"type": "amplitude_damping", "p": None}),
+        ("--channel-a", {"type": "kraus", "ops": [1]}),
+        ("--channel-a", {"type": ["kraus"]}),
+    ]
+    for i, (flag, obj) in enumerate(bad_files):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(obj))
+        argv = ["apply", "--state", "bell:0,0,0", "--channel-a", "identity"]
+        argv[argv.index(flag) + 1] = str(path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "witness", "--trials", "0"],
+    ["verify", "--suite", "protocol", "--trials", "-1"],
+])
+def test_verify_rejects_nonpositive_trials(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_exits_2():

@@ -6,7 +6,6 @@ import pytest
 
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
-    DampingPoint,
     EnhanceReport,
     dg_under_damping,
     enhance_report,
@@ -40,23 +39,6 @@ def random_tetra_point(rng):
         c = rng.uniform(-1.0, 1.0, size=3)
         if bell_eigenvalues(*c).min() >= 0.0:
             return tuple(float(x) for x in c)
-
-
-# --- damping point ----------------------------------------------------------
-
-def test_damping_point_complement_exact():
-    dp = DampingPoint.from_p(0.3)
-    assert dp.q == 1.0 - dp.p
-    dp = DampingPoint.from_gamma_t(2.0)
-    assert dp.p == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
-    assert dp.gamma_t == 2.0
-
-
-def test_damping_point_rejects_inconsistent():
-    with pytest.raises(ValueError):
-        DampingPoint(p=0.5, q=0.4)
-    with pytest.raises(ValueError):
-        DampingPoint(p=0.5, q=0.5, gamma_t=1.0)
 
 
 # --- closed-form evolution --------------------------------------------------
@@ -307,8 +289,7 @@ def test_trace_demo_events():
 
     assert len(tr.zero_touches) == 1
     assert tr.zero_touches[0] == pytest.approx(ZERO_TOUCH_GT, abs=1e-6)
-    dg_at = dg_under_damping(DEMO_C, DampingPoint.from_gamma_t(
-        tr.zero_touches[0]))
+    dg_at = dg_under_damping(DEMO_C, 1.0 - math.exp(-tr.zero_touches[0]))
     assert dg_at == pytest.approx(0.0429, abs=1e-4)
 
     f_events = [ev.gamma_t for ev in tr.sudden_changes if ev.measure == "f"]
@@ -317,10 +298,8 @@ def test_trace_demo_events():
 
     # fidelity strictly positive on both sides of the touch
     for dt in (1e-3, 1e-2):
-        assert f_under_damping(
-            DEMO_C, DampingPoint.from_gamma_t(tr.zero_touches[0] - dt)) > 0
-        assert f_under_damping(
-            DEMO_C, DampingPoint.from_gamma_t(tr.zero_touches[0] + dt)) > 0
+        for gt in (tr.zero_touches[0] - dt, tr.zero_touches[0] + dt):
+            assert f_under_damping(DEMO_C, 1.0 - math.exp(-gt)) > 0
 
 
 def test_trace_grid_and_ordering():
@@ -402,11 +381,10 @@ def test_scan_symmetries():
     assert res.symmetry["neg_c1_c3"]["mismatches"] > 0
 
 
-def test_scan_threaded_matches_serial():
-    serial = scan_tetrahedron(resolution=17, threads=None)
-    threaded = scan_tetrahedron(resolution=17, threads=4)
-    assert serial.fraction == threaded.fraction
-    assert np.array_equal(serial.points, threaded.points)
+def test_scan_matches_pointwise_verdict():
+    res = scan_tetrahedron(resolution=17)
+    for pt, flag in zip(res.points, res.enhancible):
+        assert flag == is_enhancible(tuple(float(v) for v in pt))
 
 
 def test_scan_csv_round_trip():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rsplab.linalg import (
-    DEFAULT_TOL,
     ID2,
     PAULIS,
     SIGMA_X,
@@ -14,7 +13,6 @@ from rsplab.linalg import (
     psd_check,
     rotation_axis_angle,
     su2_axis_angle,
-    sym3_eigs,
     unitary_to_rotation,
 )
 
@@ -49,45 +47,6 @@ def test_kron_sigma_x_sigma_y():
 def test_kron_rejects_wrong_shape():
     with pytest.raises(ValueError):
         kron(np.eye(3), ID2)
-
-
-def test_sym3_eigs_diagonal():
-    vals, _ = sym3_eigs(np.diag([0.25, 0.0, 0.25]))
-    assert np.allclose(vals, [0.25, 0.25, 0.0])
-
-
-def test_sym3_eigs_identity():
-    vals, vecs = sym3_eigs(np.eye(3))
-    assert np.allclose(vals, [1.0, 1.0, 1.0])
-    assert np.allclose(vecs @ vecs.T, np.eye(3), atol=DEFAULT_TOL)
-
-
-def test_sym3_eigs_known_spectrum():
-    for _ in range(50):
-        r = random_rotation(RNG)
-        m = r @ np.diag([3.0, 2.0, 1.0]) @ r.T
-        vals, vecs = sym3_eigs(m)
-        assert np.allclose(vals, [3.0, 2.0, 1.0], atol=1e-10)
-        # eigenpairs and reconstruction
-        for i in range(3):
-            assert np.allclose(m @ vecs[:, i], vals[i] * vecs[:, i], atol=1e-9)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-9)
-
-
-def test_sym3_eigs_trace_det_invariants():
-    for _ in range(100):
-        m = RNG.normal(size=(3, 3))
-        m = 0.5 * (m + m.T)
-        vals, _ = sym3_eigs(m)
-        assert vals[0] >= vals[1] >= vals[2]
-        assert abs(vals.sum() - np.trace(m)) < 1e-10
-        assert abs(np.prod(vals) - np.linalg.det(m)) < 1e-10
-
-
-def test_sym3_eigs_rejects_asymmetric():
-    m = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        sym3_eigs(m)
 
 
 def test_psd_check_accepts_density_like():
