@@ -205,42 +205,33 @@ def amplitude_damping(p: float) -> QubitChannel:
     Kraus pair [[1,0],[0,sqrt(q)]] and [[0,sqrt(p)],[0,0]]; affine form
     t = (0,0,p), T = diag(sqrt(q), sqrt(q), q).  Nonunital for p > 0.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"damping probability must lie in [0,1], got {p!r}")
+    p = linalg.probability(p, "damping probability")
     q = 1.0 - p
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(q)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
     return QubitChannel.from_kraus([k0, k1])
 
 
-def _check_prob(p) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0,1], got {p!r}")
-    return p
-
-
 def depolarizing(p: float) -> QubitChannel:
     """Depolarizing channel normalized so that T = (1 - p) I."""
-    p = _check_prob(p)
+    p = linalg.probability(p)
     ops = [np.sqrt(1.0 - 0.75 * p) * ID2]
     ops += [np.sqrt(0.25 * p) * s for s in PAULIS]
     return QubitChannel.from_kraus(ops)
 
 
 def bit_flip(p: float) -> QubitChannel:
-    p = _check_prob(p)
+    p = linalg.probability(p)
     return QubitChannel.from_kraus([np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_X])
 
 
 def phase_flip(p: float) -> QubitChannel:
-    p = _check_prob(p)
+    p = linalg.probability(p)
     return QubitChannel.from_kraus([np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_Z])
 
 
 def bit_phase_flip(p: float) -> QubitChannel:
-    p = _check_prob(p)
+    p = linalg.probability(p)
     return QubitChannel.from_kraus([np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_Y])
 
 

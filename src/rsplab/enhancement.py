@@ -20,17 +20,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .linalg import probability
 from .states import (BellDiagonalParams, PauliDecomposition, TwoQubitState,
                      as_bell_params, compose)
 
 EVENT_TOL = 1e-9  # bisection width for event gamma_t
-
-
-def _p_value(p) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"damping probability must lie in [0,1], got {p!r}")
-    return p
+# Size limits, checked before anything is allocated: a scan holds
+# resolution^3 lattice floats (415 MiB peak at 201), a trace steps rows
+# and a profile one enhancement report per point.
+MAX_RESOLUTION = 201
+MAX_STEPS = 10**6
+MAX_POINTS = 10**5
 
 
 def evolve_closed_form(c, p) -> TwoQubitState:
@@ -40,7 +40,7 @@ def evolve_closed_form(c, p) -> TwoQubitState:
     within 1e-12.
     """
     params = as_bell_params(c)
-    p = _p_value(p)
+    p = probability(p, "damping probability")
     q = 1.0 - p
     c1, c2, c3 = params.as_tuple()
     shift = np.array([0.0, 0.0, p])
@@ -71,14 +71,14 @@ def _damped(c1, c2, c3, p, q):
 def f_under_damping(c, p) -> float:
     """RSP-fidelity along the damping trajectory (closed form)."""
     params = as_bell_params(c)
-    p = _p_value(p)
+    p = probability(p, "damping probability")
     return float(_damped(*params.as_tuple(), p, 1.0 - p)[0])
 
 
 def dg_under_damping(c, p) -> float:
     """Normalized geometric discord along the damping trajectory."""
     params = as_bell_params(c)
-    p = _p_value(p)
+    p = probability(p, "damping probability")
     return float(_damped(*params.as_tuple(), p, 1.0 - p)[1])
 
 
@@ -317,8 +317,8 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     c1, c2, c3 = params.as_tuple()
     gamma_t_max = float(gamma_t_max)
     steps = int(steps)
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    if not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
     if gamma_t_max <= 0.0:
         raise ValueError("gamma_t_max must be positive")
     gts = np.linspace(0.0, gamma_t_max, steps)
@@ -450,8 +450,8 @@ def scan_tetrahedron(resolution: int = 81) -> ScanResult:
     flags only where a point and its mirror image are both members.
     """
     resolution = int(resolution)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
     axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric
     g1, g2, g3 = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -528,8 +528,8 @@ def profile_line(n: int = 201) -> np.ndarray:
     enhancible, else f_before.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError("need at least 2 points")
+    if not 2 <= n <= MAX_POINTS:
+        raise ValueError(f"points must lie in [2, {MAX_POINTS}], got {n}")
     rows = np.empty((n, 3))
     for i, c1 in enumerate(np.linspace(-1.0, 1.0, n)):
         params = BellDiagonalParams(float(c1), -1.0, float(c1))

@@ -24,26 +24,6 @@ for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS):
     _m.setflags(write=False)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 complex matrices.
-
-    Args:
-        a: 2x2 array-like, left (first-qubit) factor.
-        b: 2x2 array-like, right (second-qubit) factor.
-
-    Returns:
-        The 4x4 product with block (i, j) equal to ``a[i, j] * b``.
-
-    Raises:
-        ValueError: if either factor is not 2x2.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"kron expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
 def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, sorted ascending.
 
@@ -74,6 +54,18 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
     if arr is None or arr.shape != shape:
         raise ValueError(f"{what} must be numbers of shape {shape}, got {value!r}")
     return arr
+
+
+def probability(p, what: str = "probability") -> float:
+    """p as a float, checked to lie in [0, 1].
+
+    Raises:
+        ValueError: naming ``what`` if ``p`` lies outside [0, 1].
+    """
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{what} must lie in [0,1], got {p!r}")
+    return p
 
 
 def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

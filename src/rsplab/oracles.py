@@ -8,8 +8,8 @@ the correction axis.  The discord oracle searches classical-quantum
 states directly.  Both must land on the closed forms within stated
 tolerances without sharing any code with them.
 
-All randomness is derived per trial from (seed, trial index), so
-serial and parallel runs produce identical reports.
+All randomness is derived per trial from (seed, trial index), so a
+suite's report depends only on its arguments.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .linalg import ID2, PAULIS, su2_axis_angle
 from .states import BellDiagonalParams, TwoQubitState, bell_diagonal, bell_eigenvalues
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+MAX_GRID = 2**24
+MAX_AXES = 2**15
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,14 @@ class OracleConfig:
         for name in ("n_beta", "n_target", "n_alpha", "refine_iters"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be at least 4")
+        # The searches are batched, so the grids set the working set:
+        # payoff arrays of n_beta * n_target * n_alpha floats (128 MiB at
+        # the cap) and about 3 KB per CQ-axis candidate (n_beta * 5/4).
+        size = self.n_beta * self.n_target * self.n_alpha
+        if size > MAX_GRID:
+            raise ValueError(f"n_beta * n_target * n_alpha must be at most {MAX_GRID}, got {size}")
+        if self.n_beta > MAX_AXES:
+            raise ValueError(f"n_beta must be at most {MAX_AXES}, got {self.n_beta}")
 
     def as_dict(self):
         return {"seed": int(self.seed), "n_beta": int(self.n_beta),
@@ -77,7 +87,7 @@ def _report(estimate, reference, trials, seed, config, worst_case, passed):
 
 
 # ---------------------------------------------------------------------------
-# Direction grids
+# Direction grids and the search loop
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n roughly uniform unit vectors, no pole clustering."""
@@ -88,52 +98,66 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _orthonormal_pair(v: np.ndarray):
-    aux = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+def _frame(v: np.ndarray):
+    """Unit vectors (u, w) completing each unit axis v (..., 3) to a frame."""
+    aux = np.where(np.abs(v[..., :1]) < 0.9,
+                   np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     u = np.cross(v, aux)
-    u /= np.linalg.norm(u)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     return u, np.cross(v, u)
 
 
-def _cap_grid(center: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """Fibonacci-style points inside the spherical cap around center."""
-    u, w = _orthonormal_pair(center)
+def _cap_grid(centers: np.ndarray, radius: float, n: int) -> np.ndarray:
+    """(..., n, 3) Fibonacci-style points inside the caps around centers (..., 3)."""
+    u, w = _frame(centers)
     i = np.arange(n)
     cos_t = 1.0 - ((i + 0.5) / n) * (1.0 - np.cos(radius))
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     phi = i * GOLDEN_ANGLE
-    return (cos_t[:, None] * center
-            + sin_t[:, None] * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * w))
+    return (cos_t[:, None] * centers[..., None, :]
+            + sin_t[:, None] * (np.cos(phi)[:, None] * u[..., None, :]
+                                + np.sin(phi)[:, None] * w[..., None, :]))
 
 
-def _cap_grid_batch(centers: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """(m, n, 3) cap grids around m centers at once."""
-    aux = np.where(np.abs(centers[:, :1]) < 0.9,
-                   np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
-    u = np.cross(centers, aux)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    w = np.cross(centers, u)
-    i = np.arange(n)
-    cos_t = 1.0 - ((i + 0.5) / n) * (1.0 - np.cos(radius))
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    phi = i * GOLDEN_ANGLE
-    return (cos_t[None, :, None] * centers[:, None, :]
-            + sin_t[None, :, None] * (np.cos(phi)[None, :, None] * u[:, None, :]
-                                      + np.sin(phi)[None, :, None] * w[:, None, :]))
+def _argmax_point(points: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The points (..., 3) of points (..., m, 3) where vals (..., m) is
+    largest, the first one on ties."""
+    k = np.asarray(vals.argmax(axis=-1))[..., None, None]
+    return np.take_along_axis(np.broadcast_to(points, vals.shape + (3,)), k, axis=-2)[..., 0, :]
 
 
-def _great_circle(axis: np.ndarray, n: int) -> np.ndarray:
-    u, w = _orthonormal_pair(axis)
-    th = 2.0 * np.pi * np.arange(n) / n
-    return np.outer(np.cos(th), u) + np.outer(np.sin(th), w)
+def _sphere_search(objective, grid, radius, n_cap, rounds, sign):
+    """Optimize objective over the sphere: grid first, then shrinking caps.
+
+    ``objective`` maps points (..., m, 3) to values (..., m); its leading
+    axes are independent searches.  ``grid`` (m, 3) is shared by all of
+    them.  sign=+1 maximizes, sign=-1 minimizes.  Each round scans a cap
+    of ``n_cap`` points around every current best, keeps the first best
+    cap point only if it strictly improves, and shrinks the radius by
+    0.2.  Returns the best points (..., 3) and values (...).
+    """
+    vals = sign * objective(grid)
+    best, best_val = _argmax_point(grid, vals), vals.max(axis=-1)
+    for _ in range(rounds):
+        caps = _cap_grid(best, radius, n_cap)
+        vals = sign * objective(caps)
+        cap_val = vals.max(axis=-1)
+        better = cap_val > best_val
+        best_val = np.where(better, cap_val, best_val)
+        best = np.where(better[..., None], _argmax_point(caps, vals), best)
+        radius *= 0.2
+    return best, sign * best_val
 
 
 # ---------------------------------------------------------------------------
 # Protocol oracle
 
-def _designated_payoffs(b, e, beta, alphas, targets):
-    """Payoff matrix (n_alpha, n_target) of the simulated protocol round.
+def _designated_payoffs(b, e, betas, targets, alphas):
+    """Payoffs (..., n_target, m) of the simulated protocol round.
 
+    ``betas`` (..., 3) are correction axes, ``targets`` (..., n_target,
+    3) their target circles and ``alphas`` measurement axes, either one
+    shared grid (m, 3) or one set per target (..., n_target, m, 3).
     For measurement axis alpha the two outcomes leave Bob the
     subnormalized conditional vectors (b +- E^T alpha)/2 (weight times
     conditional Bloch vector, so zero-probability outcomes need no
@@ -145,41 +169,14 @@ def _designated_payoffs(b, e, beta, alphas, targets):
     ea = alphas @ e  # rows are E^T alpha
     vp = 0.5 * (b + ea)
     vm = 0.5 * (b - ea)
-    flip = 2.0 * np.outer(beta, beta) - np.eye(3)
-    w_minus = vp + vm @ flip.T   # rotate the -1 outcome
-    w_plus = vp @ flip.T + vm    # rotate the +1 outcome
-    pay_minus = (w_minus @ targets.T) ** 2
-    pay_plus = (w_plus @ targets.T) ** 2
+    # the pi rotation 2 beta beta^T - 1 is symmetric, so it acts on rows as is
+    flip = (2.0 * betas[..., :, None] * betas[..., None, :] - np.eye(3))[..., None, :, :]
+    w_minus = vp + vm @ flip   # rotate the -1 outcome
+    w_plus = vp @ flip + vm    # rotate the +1 outcome
+    t = targets[..., :, None]
+    pay_minus = (w_minus @ t)[..., 0] ** 2
+    pay_plus = (w_plus @ t)[..., 0] ** 2
     return np.maximum(pay_minus, pay_plus)
-
-
-def _beta_payoff(b, e, beta, cfg: OracleConfig) -> float:
-    """Target-averaged payoff at one correction axis, optimized over alpha."""
-    targets = _great_circle(beta, cfg.n_target)
-    alphas = fibonacci_sphere(cfg.n_alpha)
-    pay = _designated_payoffs(b, e, beta, alphas, targets)
-    best_val = pay.max(axis=0)
-    best_alpha = alphas[pay.argmax(axis=0)]
-    radius = 2.0 * 3.6 / np.sqrt(cfg.n_alpha)
-    n_cap = 24
-    flip = 2.0 * np.outer(beta, beta) - np.eye(3)
-    for _ in range(cfg.refine_iters):
-        caps = _cap_grid_batch(best_alpha, radius, n_cap)  # (t, n_cap, 3)
-        ea = caps @ e
-        vp = 0.5 * (b + ea)
-        vm = 0.5 * (b - ea)
-        w_minus = vp + vm @ flip.T
-        w_plus = vp @ flip.T + vm
-        pm = np.einsum("tcj,tj->tc", w_minus, targets) ** 2
-        pp = np.einsum("tcj,tj->tc", w_plus, targets) ** 2
-        vals = np.maximum(pm, pp)
-        k = vals.argmax(axis=1)
-        rows = np.arange(cfg.n_target)
-        better = vals[rows, k] > best_val
-        best_val = np.where(better, vals[rows, k], best_val)
-        best_alpha = np.where(better[:, None], caps[rows, k], best_alpha)
-        radius *= 0.2
-    return float(best_val.mean())
 
 
 def protocol_fidelity_oracle(s: TwoQubitState,
@@ -187,26 +184,32 @@ def protocol_fidelity_oracle(s: TwoQubitState,
     """Estimate the RSP-fidelity by simulating the protocol directly.
 
     Minimizes the target-averaged optimized payoff over correction axes
-    on a Fibonacci grid with local cap refinement.  Contract: within
-    5e-3 of the closed form at default grids for Bell-diagonal states
-    and random states of purity <= 0.99.
+    on a Fibonacci grid with local cap refinement; for each correction
+    axis the payoff of every target on its great circle is maximized
+    over measurement axes the same way.  Contract: within 5e-3 of the
+    closed form at default grids for Bell-diagonal states and random
+    states of purity <= 0.99.
     """
     cfg = cfg or OracleConfig()
     b, e = s.b, s.e
     reference = measures.rsp_fidelity(s)
-    betas = fibonacci_sphere(cfg.n_beta)
-    vals = np.array([_beta_payoff(b, e, beta, cfg) for beta in betas])
-    k = int(np.argmin(vals))
-    best_beta, best_val = betas[k], float(vals[k])
-    radius = 2.0 * 3.6 / np.sqrt(cfg.n_beta)
-    for _ in range(cfg.refine_iters):
-        caps = _cap_grid(best_beta, radius, 32)
-        cap_vals = np.array([_beta_payoff(b, e, beta, cfg) for beta in caps])
-        k = int(np.argmin(cap_vals))
-        if cap_vals[k] < best_val:
-            best_val = float(cap_vals[k])
-            best_beta = caps[k]
-        radius *= 0.2
+    alphas = fibonacci_sphere(cfg.n_alpha)
+    th = 2.0 * np.pi * np.arange(cfg.n_target) / cfg.n_target
+
+    def beta_payoff(betas):
+        """Target-averaged payoff at correction axes (..., 3), optimized over alpha."""
+        u, w = _frame(betas)
+        targets = (np.cos(th)[:, None] * u[..., None, :]
+                   + np.sin(th)[:, None] * w[..., None, :])
+        _, best = _sphere_search(
+            lambda a: _designated_payoffs(b, e, betas, targets, a), alphas,
+            2.0 * 3.6 / np.sqrt(cfg.n_alpha), 24, cfg.refine_iters, 1.0)
+        return best.mean(axis=-1)
+
+    _, best_val = _sphere_search(beta_payoff, fibonacci_sphere(cfg.n_beta),
+                                 2.0 * 3.6 / np.sqrt(cfg.n_beta), 32,
+                                 cfg.refine_iters, -1.0)
+    best_val = float(best_val)
     return _report(best_val, reference, 1, cfg.seed, cfg.as_dict(),
                    worst_case=f"abs_err={abs(best_val - reference):.3e}",
                    passed=abs(best_val - reference) <= 5e-3)
@@ -215,39 +218,30 @@ def protocol_fidelity_oracle(s: TwoQubitState,
 # ---------------------------------------------------------------------------
 # GMQD search oracle
 
-def _axis_ket(axis: np.ndarray) -> np.ndarray:
-    """+1 eigenvector of axis.sigma."""
-    h = sum(axis[k] * PAULIS[k] for k in range(3))
-    vals, vecs = np.linalg.eigh(h)
-    return vecs[:, int(np.argmax(vals))]
+def _pinched_distances(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """2 * HS distance^2 from rho to the CQ states pinched along axes (..., 3).
 
-
-def _pinched_distance(rho: np.ndarray, axis: np.ndarray) -> float:
-    """2 * HS distance^2 from rho to the CQ state pinched along axis.
-
-    The candidate is validated as a genuine classical-quantum state
+    Each candidate is validated as a genuine classical-quantum state
     (orthonormal axis kets, PSD parts, weights summing to one) before
     its distance is returned.
     """
-    ket = _axis_ket(axis)
-    proj_p = np.outer(ket, ket.conj())
-    proj_m = ID2 - proj_p
-    pp = np.kron(proj_p, ID2)
-    pm = np.kron(proj_m, ID2)
-    chi = pp @ rho @ pp + pm @ rho @ pm
-    weights = []
-    for proj4 in (pp, pm):
-        w = np.trace(proj4 @ rho).real
-        weights.append(w)
-        if w > 1e-12:
-            part = proj4 @ rho @ proj4 / w
-            evs = np.linalg.eigvalsh(0.5 * (part + part.conj().T))
-            if evs[0] < -1e-9:
-                raise RuntimeError("pinched part not PSD")
-    if abs(sum(weights) - 1.0) > 1e-10:
+    h = np.tensordot(axes, np.stack(PAULIS), axes=(-1, 0))
+    ket = np.linalg.eigh(h)[1][..., :, -1]  # +1 eigenvector of axis.sigma
+    proj_p = ket[..., :, None] * ket[..., None, :].conj()
+    projs = np.stack([proj_p, ID2 - proj_p])
+    proj4 = np.einsum("...ij,kl->...ikjl", projs, ID2).reshape(projs.shape[:-2] + (4, 4))
+    proj_rho = proj4 @ rho
+    sandwiches = proj_rho @ proj4
+    weights = np.trace(proj_rho, axis1=-2, axis2=-1).real
+    live = weights > 1e-12
+    parts = sandwiches / np.where(live, weights, 1.0)[..., None, None]
+    evs = np.linalg.eigvalsh(0.5 * (parts + np.swapaxes(parts, -1, -2).conj()))
+    if np.any(live & (evs[..., 0] < -1e-9)):
+        raise RuntimeError("pinched part not PSD")
+    if np.any(np.abs(weights[0] + weights[1] - 1.0) > 1e-10):
         raise RuntimeError("pinched weights do not sum to 1")
-    diff = rho - chi
-    return 2.0 * float(np.sum(diff * diff.conj()).real)
+    diff = rho - (sandwiches[0] + sandwiches[1])
+    return 2.0 * np.sum(diff * diff.conj(), axis=(-2, -1)).real
 
 
 def gmqd_search_oracle(s: TwoQubitState,
@@ -263,23 +257,14 @@ def gmqd_search_oracle(s: TwoQubitState,
     cfg = cfg or OracleConfig()
     rho = s.rho
     reference = measures.gmqd(s)
-    axes = [fibonacci_sphere(cfg.n_beta)]
     rng = np.random.default_rng([cfg.seed, 0x6d71])
     restarts = rng.normal(size=(max(4, cfg.n_beta // 4), 3))
-    axes.append(restarts / np.linalg.norm(restarts, axis=1, keepdims=True))
-    axes = np.concatenate(axes)
-    vals = np.array([_pinched_distance(rho, ax) for ax in axes])
-    k = int(np.argmin(vals))
-    best_axis, best_val = axes[k], float(vals[k])
-    radius = 2.0 * 3.6 / np.sqrt(cfg.n_beta)
-    for _ in range(cfg.refine_iters):
-        caps = _cap_grid(best_axis, radius, 32)
-        cap_vals = np.array([_pinched_distance(rho, ax) for ax in caps])
-        k = int(np.argmin(cap_vals))
-        if cap_vals[k] < best_val:
-            best_val = float(cap_vals[k])
-            best_axis = caps[k]
-        radius *= 0.2
+    axes = np.concatenate([fibonacci_sphere(cfg.n_beta),
+                           restarts / np.linalg.norm(restarts, axis=1, keepdims=True)])
+    _, best_val = _sphere_search(lambda ax: _pinched_distances(rho, ax), axes,
+                                 2.0 * 3.6 / np.sqrt(cfg.n_beta), 32,
+                                 cfg.refine_iters, -1.0)
+    best_val = float(best_val)
     return _report(best_val, reference, 1, cfg.seed, cfg.as_dict(),
                    worst_case=f"err={best_val - reference:.3e}",
                    passed=(best_val >= reference - 1e-9))
@@ -401,6 +386,8 @@ def _named_states():
 def protocol_suite(n_trials: int = 50, seed: int = 0,
                    cfg: Optional[OracleConfig] = None) -> OracleReport:
     """Protocol oracle over random states plus the named landmark states."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
     cfg = cfg or OracleConfig(seed=seed)
     cases = list(_named_states())
     for i in range(n_trials):

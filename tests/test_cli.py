@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import rsplab
 from rsplab.cli import main
 from rsplab.enhancement import parse_scan_csv, parse_trace_csv
 from rsplab.states import bell_diagonal, state_to_json
@@ -210,6 +212,19 @@ def test_verify_rejects_nonpositive_trials(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--resolution", "1000000000"],
+    ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3", "--steps", "1000000000"],
+    ["profile", "--points", "1000000000"],
+])
+def test_sizes_are_bounded(capsys, argv):
+    # rejected before anything is allocated, so this returns at once
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -225,9 +240,13 @@ def test_byte_identical_repeat(capsys):
 
 
 def test_module_entry_point():
+    # run the package under test, whether or not it is installed
+    src = os.path.dirname(os.path.dirname(rsplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "rsplab", "measure", "--state",
          "bell:0.5,0,-0.5"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f_rsp"] == 0.125

@@ -9,7 +9,7 @@ from rsplab.linalg import (
     SIGMA_Z,
     herm_eigvals,
     is_unitary,
-    kron,
+    probability,
     psd_check,
     rotation_axis_angle,
     su2_axis_angle,
@@ -25,30 +25,6 @@ def random_rotation(rng):
     return rotation_axis_angle(axis, rng.uniform(0.0, 2.0 * np.pi))
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(ID2, ID2), np.eye(4))
-
-
-def test_kron_sigma_z_sigma_z():
-    assert np.allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_sigma_x_sigma_y():
-    m = kron(SIGMA_X, SIGMA_Y)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = -1.0j
-    expected[1, 2] = 1.0j
-    expected[2, 1] = -1.0j
-    expected[3, 0] = 1.0j
-    assert np.allclose(m, expected)
-    assert np.allclose(m @ m, np.eye(4))
-
-
-def test_kron_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        kron(np.eye(3), ID2)
-
-
 def test_psd_check_accepts_density_like():
     assert psd_check(np.eye(4) / 4)
     assert psd_check(np.diag([0.5, 0.5, 0.0, 0.0]))
@@ -56,9 +32,17 @@ def test_psd_check_accepts_density_like():
 
 def test_psd_check_rejects_outside_tetrahedron():
     # Bell-diagonal matrix with c = (1,1,1) has eigenvalue -1/2
-    rho = 0.25 * (np.eye(4) + kron(SIGMA_X, SIGMA_X)
-                  + kron(SIGMA_Y, SIGMA_Y) + kron(SIGMA_Z, SIGMA_Z))
+    rho = 0.25 * (np.eye(4) + np.kron(SIGMA_X, SIGMA_X)
+                  + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z))
     assert not psd_check(rho)
+
+
+def test_probability_bounds():
+    assert probability(0) == 0.0
+    assert probability("1") == 1.0
+    for bad in (-1e-12, 1.0 + 1e-12, float("nan")):
+        with pytest.raises(ValueError, match="damping probability"):
+            probability(bad, "damping probability")
 
 
 def test_psd_check_tolerance_edge():

@@ -8,6 +8,8 @@ from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.oracles import (
     OracleConfig,
     OracleReport,
+    _named_states,
+    _sphere_search,
     bounded_purity_state,
     discord_raising_check,
     fibonacci_sphere,
@@ -33,6 +35,14 @@ def test_config_rejects_small_counts():
             OracleConfig(**{field: 3})
 
 
+def test_config_rejects_oversized_grids():
+    with pytest.raises(ValueError):
+        OracleConfig(n_beta=1024, n_target=128, n_alpha=256)  # 2^25 payoffs
+    with pytest.raises(ValueError):
+        OracleConfig(n_beta=2**15 + 1)
+    OracleConfig(n_beta=256, n_target=256, n_alpha=256)  # exactly 2^24
+
+
 def test_report_checks_abs_err():
     with pytest.raises(ValueError):
         OracleReport(estimate=1.0, reference=0.5, abs_err=0.1,
@@ -52,6 +62,56 @@ def test_fibonacci_sphere_is_unit_and_spread():
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # mean of a well spread set sits near the origin
     assert np.linalg.norm(pts.mean(axis=0)) < 0.02
+
+
+def _linear(v):
+    """x . v for points (..., m, 3) and one v (..., 3) per search."""
+    return lambda pts: (pts * v[..., None, :]).sum(axis=-1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sphere_search_single(sign):
+    v = np.array([0.3, -0.5, 0.81])
+    v /= np.linalg.norm(v)
+    best, val = _sphere_search(_linear(v), fibonacci_sphere(64), 0.9, 32, 6, sign)
+    assert best.shape == (3,)
+    assert np.linalg.norm(best - sign * v) <= 1e-3
+    assert val == pytest.approx(sign, abs=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sphere_search_batch(sign):
+    # a (2, 3) batch of independent searches, each equal to its own run
+    v = np.random.default_rng(3).normal(size=(2, 3, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    best, val = _sphere_search(_linear(v), fibonacci_sphere(64), 0.9, 32, 6, sign)
+    assert best.shape == (2, 3, 3) and val.shape == (2, 3)
+    assert np.linalg.norm(best - sign * v, axis=-1).max() <= 1e-3
+    assert np.allclose(val, sign, atol=1e-6)
+    for idx in np.ndindex(2, 3):
+        one_best, one_val = _sphere_search(_linear(v[idx]), fibonacci_sphere(64),
+                                           0.9, 32, 6, sign)
+        assert np.array_equal(best[idx], one_best) and val[idx] == one_val
+
+
+# FAST-config estimates on the four named states and four random ones,
+# pinned so that a rewrite of the search cannot drift unnoticed
+PINNED_PROTOCOL = [0.9997834569825023, 0.0, 0.12499977616482343,
+                   8.841823407323042e-07, 0.035966501593306534,
+                   0.04564701219350251, 0.09081158224613378,
+                   0.16532203323721512]
+PINNED_GMQD = [0.9999999999999989, 0.0, 0.12500000000000006, 0.25,
+               0.07355545610357721, 0.05629583757967739,
+               0.1233626166107603, 0.17607109263626727]
+
+
+def test_oracles_match_pinned_estimates():
+    rng = np.random.default_rng(2024)
+    states = ([s for _, s in _named_states()]
+              + [bounded_purity_state(rng) for _ in range(4)])
+    for s, p_est, g_est in zip(states, PINNED_PROTOCOL, PINNED_GMQD):
+        assert protocol_fidelity_oracle(s, FAST).estimate == pytest.approx(p_est, abs=1e-12)
+        assert gmqd_search_oracle(s, FAST).estimate == pytest.approx(g_est, abs=1e-12)
 
 
 def test_protocol_oracle_named_states():
@@ -148,6 +208,14 @@ def test_gmqd_suite_small():
     rep = gmqd_suite(n_trials=4, seed=0, cfg=FAST)
     assert rep.passed
     assert rep.abs_err <= 1e-3
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+@pytest.mark.parametrize("suite", [protocol_suite, gmqd_suite,
+                                   unital_monotonicity_suite])
+def test_suites_need_a_trial(suite, n_trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        suite(n_trials=n_trials)
 
 
 def test_random_state_generators():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsplab.linalg import ID2, SIGMA_X, kron, su2_axis_angle
+from rsplab.linalg import ID2, SIGMA_X, su2_axis_angle
 from rsplab.states import (
     BellDiagonalParams,
     PauliDecomposition,
