@@ -11,10 +11,14 @@ from Kraus operators, and ``QubitChannel.from_affine`` accepts (t, T)
 directly after verifying complete positivity through the Choi matrix.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form used for the unital-monotonicity analysis.
+The Kraus-to-M core and the construction of random unital channels
+work on stacks over leading axes; ``from_kraus`` and
+``sample_unital_local`` wrap them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,9 +48,13 @@ def _ptm(t, tmat) -> np.ndarray:
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| o Phi(|i><j|) from Kraus operators."""
-    v = np.asarray(kraus, dtype=complex).transpose(0, 2, 1).reshape(-1, 4)
-    return np.einsum("kx,ky->xy", v, v.conj())
+    """Choi matrix sum_ij |i><j| o Phi(|i><j|) from Kraus operators.
+
+    Batched: Kraus sets (..., k, 2, 2) give Choi matrices (..., 4, 4).
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    v = np.swapaxes(kraus, -1, -2).reshape(kraus.shape[:-2] + (4,))
+    return np.einsum("...kx,...ky->...xy", v, v.conj())
 
 
 def choi_from_affine(t, tmat) -> np.ndarray:
@@ -124,24 +132,7 @@ class QubitChannel:
         for k in ops:
             if k.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
-        kraus = np.stack(ops)
-        complete = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
-        dev = np.abs(complete - ID2).max()
-        if dev > tol:
-            raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
-        # M[mu, nu] = sum_k tr(sigma_mu K sigma_nu K^dag) / 2
-        m = 0.5 * np.einsum("mab,kbc,ncd,kad->mn", PAULI_BASIS, kraus,
-                            PAULI_BASIS, kraus.conj())
-        imag = np.abs(m.imag).max()
-        if imag > tol:
-            raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
-        choi = choi_from_kraus(kraus)
-        if abs(np.trace(choi).real - 2.0) > tol:
-            raise ValueError("Choi trace differs from 2")
-        if not linalg.psd_check(choi, tol=CHOI_TOL):
-            raise ValueError("Choi matrix not PSD: map is not completely positive")
-        # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
-        return cls(ops, _ptm(m.real[1:, 0], m.real[1:, 1:]), choi)
+        return cls(ops, *_kraus_ptm(np.stack(ops), tol))
 
     @classmethod
     def from_affine(cls, t, tmat, tol: float = CHOI_TOL) -> "QubitChannel":
@@ -156,6 +147,35 @@ class QubitChannel:
     def __repr__(self):
         kind = f"{len(self.kraus)} Kraus ops" if self.kraus else "affine-only"
         return f"QubitChannel({kind}, |t|={np.linalg.norm(self.affine.t):.4f})"
+
+
+def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
+    """Checked transfer and Choi matrices (..., 4, 4) of trace-preserving
+    Kraus sets (..., k, 2, 2): the batched core of ``from_kraus``.
+
+    Raises:
+        ValueError: as ``QubitChannel.from_kraus``; a message with a
+            number gives the worst value in the stack.
+    """
+    complete = np.einsum("...kba,...kbc->...ac", kraus.conj(), kraus)
+    dev = np.abs(complete - ID2).max()
+    if dev > tol:
+        raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
+    # M[mu, nu] = sum_k tr(sigma_mu K sigma_nu K^dag) / 2
+    m = 0.5 * np.einsum("mab,...kbc,ncd,...kad->...mn", PAULI_BASIS, kraus,
+                        PAULI_BASIS, kraus.conj())
+    imag = np.abs(m.imag).max()
+    if imag > tol:
+        raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
+    choi = choi_from_kraus(kraus)
+    if abs(choi.trace(axis1=-2, axis2=-1).real - 2.0).max() > tol:
+        raise ValueError("Choi trace differs from 2")
+    if not linalg.psd_check(choi, tol=CHOI_TOL):
+        raise ValueError("Choi matrix not PSD: map is not completely positive")
+    # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
+    ptm = m.real.copy()
+    ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
+    return ptm, choi
 
 
 def is_unital(ch: QubitChannel, tol: float = DEFAULT_TOL) -> bool:
@@ -182,14 +202,19 @@ def apply_single(ch: QubitChannel, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * np.einsum("m,mab->ab", ch.ptm @ r, PAULI_BASIS)
 
 
+def _product_action(m_a, c, m_b) -> np.ndarray:
+    """Coefficient matrices M_A C M_B^T, batched over leading axes."""
+    return m_a @ c @ np.swapaxes(m_b, -1, -2)
+
+
 def apply_local(ch_a: QubitChannel, ch_b: QubitChannel,
                 s: TwoQubitState) -> TwoQubitState:
     """Apply the product channel (A on qubit 1, B on qubit 2) to a state.
 
     The coefficient matrix maps as C -> M_A C M_B^T.
     """
-    c = ch_a.ptm @ s.decomposition.c @ ch_b.ptm.T
-    return compose(PauliDecomposition.from_matrix(c))
+    return compose(PauliDecomposition.from_matrix(
+        _product_action(ch_a.ptm, s.decomposition.c, ch_b.ptm)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +374,51 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
 # ---------------------------------------------------------------------------
 # Random unital channels
 
-def _unit_vector(rng) -> np.ndarray:
+def _random_axis_angle(rng: np.random.Generator):
+    """Axis uniform on the sphere, then angle uniform on [0, 2pi).
+
+    The axis is a normal draw, redrawn while its norm is below 1e-12.
+    """
     while True:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
         if n > 1e-12:
-            return v / n
+            return v / n, rng.uniform(0.0, 2.0 * np.pi)
 
 
-def _sample_unital(rng) -> QubitChannel:
-    # rejection-sample the scaling triple from the CP tetrahedron with
-    # corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1)
+def _draw_unital(rng: np.random.Generator):
+    """Random parameters of one unital channel sqrt(w_k) U_a sigma_k U_b.
+
+    Draws the scaling triple lambda uniformly from the CP tetrahedron
+    with corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1) by rejection,
+    then the axis and angle of U_a, then those of U_b.  Returns the
+    Kraus weights w (4), the axes (2, 3) and the angles (2) as sequences.
+    """
     while True:
-        lam = rng.uniform(-1.0, 1.0, size=3)
-        w = 0.25 * np.array([
-            1.0 + lam[0] + lam[1] + lam[2],
-            1.0 + lam[0] - lam[1] - lam[2],
-            1.0 - lam[0] + lam[1] - lam[2],
-            1.0 - lam[0] - lam[1] + lam[2],
-        ])
-        if np.all(w >= 0.0):
+        l0, l1, l2 = rng.uniform(-1.0, 1.0, size=3).tolist()
+        w = [0.25 * (1.0 + l0 + l1 + l2), 0.25 * (1.0 + l0 - l1 - l2),
+             0.25 * (1.0 - l0 + l1 - l2), 0.25 * (1.0 - l0 - l1 + l2)]
+        if min(w) >= 0.0:
             break
-    u_a = linalg.su2_axis_angle(_unit_vector(rng), rng.uniform(0.0, 2.0 * np.pi))
-    u_b = linalg.su2_axis_angle(_unit_vector(rng), rng.uniform(0.0, 2.0 * np.pi))
-    ops = [np.sqrt(wi) * (u_a @ g @ u_b) for wi, g in zip(w, PAULI_BASIS)]
-    ch = QubitChannel.from_kraus(ops)
-    if np.linalg.norm(ch.affine.t) > 1e-12:
+    axes, angles = zip(_random_axis_angle(rng), _random_axis_angle(rng))
+    return w, axes, angles
+
+
+def _unital_channels(w, axes, angles):
+    """Kraus sets, transfer and Choi matrices of the unital channels with
+    parameters from ``_draw_unital``, batched over leading axes of
+    w (..., 4), axes (..., 2, 3) and angles (..., 2).
+
+    Raises:
+        RuntimeError: if a channel's translation exceeds 1e-12.
+    """
+    u = linalg.su2_axis_angle(axes, angles)
+    kraus = np.sqrt(w)[..., None, None] * (u[..., None, 0, :, :] @ PAULI_BASIS
+                                           @ u[..., None, 1, :, :])
+    ptm, choi = _kraus_ptm(kraus)
+    if (np.linalg.norm(ptm[..., 1:, 0], axis=-1) > 1e-12).any():
         raise RuntimeError("sampled channel failed unitality")
-    return ch
+    return kraus, ptm, choi
 
 
 def sample_unital_local(seed) -> tuple:
@@ -387,7 +429,9 @@ def sample_unital_local(seed) -> tuple:
     or a numpy Generator; results are deterministic per seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_unital(rng), _sample_unital(rng)
+    draws = [_draw_unital(rng) for _ in range(2)]
+    kraus, ptm, choi = _unital_channels(*(np.array(x) for x in zip(*draws)))
+    return tuple(QubitChannel(k, m, c) for k, m, c in zip(kraus, ptm, choi))
 
 
 # ---------------------------------------------------------------------------

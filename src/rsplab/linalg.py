@@ -25,18 +25,20 @@ for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS):
 
 
 def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix, sorted ascending.
+    """Eigenvalues of complex Hermitian matrices (..., n, n), sorted ascending.
 
     Raises:
-        ValueError: if ``h`` is not square or not Hermitian within ``tol``.
+        ValueError: if ``h`` is not square or not Hermitian within ``tol``
+            (the message gives the largest deviation in the stack).
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    dev = np.abs(h - h.conj().T).max()
+    hdag = np.swapaxes(h, -1, -2).conj()
+    dev = abs(h - hdag).max()
     if dev > tol:
         raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+    return np.linalg.eigvalsh(0.5 * (h + hdag))
 
 
 def real_array(value, shape: tuple, what: str) -> np.ndarray:
@@ -69,12 +71,13 @@ def probability(p, what: str = "probability") -> float:
 
 
 def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix ``h`` has all eigenvalues >= -tol.
+    """True iff every Hermitian matrix in ``h`` (..., n, n) has all
+    eigenvalues >= -tol.
 
     Raises:
         ValueError: if ``h`` is not Hermitian within ``tol``.
     """
-    return bool(herm_eigvals(h, tol=tol)[0] >= -tol)
+    return bool((herm_eigvals(h, tol=tol)[..., 0] >= -tol).all())
 
 
 def rotation_axis_angle(axis, angle: float) -> np.ndarray:
@@ -94,17 +97,25 @@ def rotation_axis_angle(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def su2_axis_angle(axis, angle: float) -> np.ndarray:
-    """SU(2) element exp(-i*angle/2 * axis.sigma) for a unit axis.
+def su2_axis_angle(axis, angle) -> np.ndarray:
+    """SU(2) elements exp(-i*angle/2 * axis.sigma) for unit axes.
 
-    Its adjoint action on Bloch vectors is ``rotation_axis_angle(axis, angle)``.
+    Batched: axes (..., 3) and angles (...) give matrices (..., 2, 2).
+    The adjoint action on Bloch vectors is ``rotation_axis_angle(axis, angle)``.
+
+    Raises:
+        ValueError: if an axis is not unit length within 1e-12 (the
+            message gives the norm farthest from 1).
     """
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"axis must be unit length, |axis| = {norm!r}")
-    n_dot_sigma = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-    return np.cos(angle / 2.0) * ID2 - 1.0j * np.sin(angle / 2.0) * n_dot_sigma
+    # |axis| rounded as np.linalg.norm rounds a single axis
+    norm = np.sqrt(axis[..., None, :] @ axis[..., :, None])[..., 0, 0]
+    dev = abs(norm - 1.0)
+    if (dev > 1e-12).any():
+        raise ValueError(f"axis must be unit length, |axis| = {norm.flat[dev.argmax()]!r}")
+    n_dot_sigma = (axis @ PAULI_BASIS[1:].reshape(3, 4)).reshape(axis.shape[:-1] + (2, 2))
+    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * ID2 - 1.0j * np.sin(half) * n_dot_sigma
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:

@@ -10,10 +10,13 @@ blocks are C[0, 0] = 1, the local Bloch vectors a = C[1:, 0] and
 b = C[0, 1:], and the 3x3 correlation matrix E = C[1:, 1:].  All
 measure computations downstream read the cached C, never the raw
 matrix, so construction is the single source of numerical truth.
+Validation with decomposition, and composition, each have one core that
+works on stacks over leading axes; ``decompose`` and ``compose`` wrap them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +57,16 @@ class PauliDecomposition:
     @classmethod
     def from_matrix(cls, c) -> "PauliDecomposition":
         """Decomposition with the given coefficient matrix C (copied)."""
+        c = np.array(c, dtype=float)
+        if c.shape != (4, 4):
+            raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
+        return cls._wrap(_checked(c))
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray) -> "PauliDecomposition":
+        """Decomposition holding the already checked matrix c."""
         d = cls.__new__(cls)
-        d.c = _checked(np.array(c, dtype=float))
+        d.c = c
         return d
 
     @property
@@ -72,19 +83,62 @@ class PauliDecomposition:
 
 
 def _checked(c: np.ndarray) -> np.ndarray:
-    """Validate a coefficient matrix and make it read-only."""
-    if c.shape != (4, 4):
+    """Validate coefficient matrices (..., 4, 4) and make them read-only.
+
+    A message with a number gives the worst entry of the stack.
+    """
+    if c.shape[-2:] != (4, 4):
         raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("decomposition entries must be finite")
-    if abs(c[0, 0] - 1.0) > 1e-9:
-        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {c[0, 0]!r}")
-    if np.linalg.norm(c[1:, 0]) > 1 + 1e-9 or np.linalg.norm(c[0, 1:]) > 1 + 1e-9:
+    dev = abs(c[..., 0, 0] - 1.0)
+    if dev.max() > 1e-9:
+        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {c[..., 0, 0].flat[dev.argmax()]!r}")
+    sq = c * c
+    if math.sqrt(max(sq[..., 1:, 0].sum(-1).max(), sq[..., 0, 1:].sum(-1).max())) > 1 + 1e-9:
         raise ValueError("Bloch vector norm exceeds 1")
-    if np.abs(c[1:, 1:]).max() > 1 + 1e-9:
+    if abs(c[..., 1:, 1:]).max() > 1 + 1e-9:
         raise ValueError("correlation matrix entry exceeds 1 in magnitude")
     c.setflags(write=False)
     return c
+
+
+def _coefficients(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Checked coefficient matrices C (..., 4, 4) of density matrices
+    rho (..., 4, 4): the batched core of ``decompose``.
+
+    Raises:
+        ValueError: if any matrix is not Hermitian, not of unit trace or
+            not PSD within ``tol``, or its coefficients are not real; a
+            message with a number gives the worst value of the stack.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho_dag = np.swapaxes(rho, -1, -2).conj()
+    herm_dev = abs(rho - rho_dag).max()
+    if herm_dev > tol:
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
+    tr_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if tr_dev > tol:
+        raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
+    low = np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0].min()
+    if not low >= -tol:
+        raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
+    coeff = np.einsum("...ab,mnba->...mn", rho, _BASIS16)
+    imag = abs(coeff.imag).max()
+    if imag > tol:
+        raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
+    c = coeff.real.copy()
+    c[..., 0, 0] = 1.0  # tr(rho), already checked to be 1 within tol
+    return _checked(c)
+
+
+def _density(c: np.ndarray) -> np.ndarray:
+    """Density matrices (1/4) sum C[mu, nu] sigma_mu o sigma_nu of
+    coefficient matrices (..., 4, 4), unchecked: the batched core of
+    ``compose``."""
+    return 0.25 * np.einsum("...mn,mnab->...ab", c, _BASIS16)
 
 
 def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
@@ -104,22 +158,7 @@ def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > tol:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
-    tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > tol:
-        raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-    if not linalg.psd_check(rho, tol=tol):
-        low = linalg.herm_eigvals(rho, tol=tol)[0]
-        raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
-    coeff = np.einsum("ab,mnba->mn", rho, _BASIS16)
-    imag = np.abs(coeff.imag).max()
-    if imag > tol:
-        raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
-    c = coeff.real.copy()
-    c[0, 0] = 1.0  # tr(rho), already checked to be 1 within tol
-    return PauliDecomposition.from_matrix(c)
+    return PauliDecomposition._wrap(_coefficients(rho, tol))
 
 
 class TwoQubitState:
@@ -166,8 +205,7 @@ def compose(d: PauliDecomposition) -> TwoQubitState:
         ValueError: if the resulting matrix is not a density matrix
             (signals an invalid decomposition).
     """
-    rho = 0.25 * np.einsum("mn,mnab->ab", d.c, _BASIS16)
-    return TwoQubitState(rho)
+    return TwoQubitState(_density(d.c))
 
 
 def bell_eigenvalues(c1: float, c2: float, c3: float) -> np.ndarray:

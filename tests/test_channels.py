@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from rsplab.channels import (
     QubitChannel,
+    _kraus_ptm,
     affine_to_kraus,
     amplitude_damping,
     apply_local,
@@ -25,6 +28,7 @@ from rsplab.channels import (
     unital_builtin,
 )
 from rsplab.linalg import ID2, psd_check, rotation_axis_angle, su2_axis_angle
+from rsplab.oracles import random_bell_params
 from rsplab.states import TwoQubitState, bell_diagonal
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -365,6 +369,42 @@ def test_apply_local_matches_kraus_sandwich(seed, n1, n2, n_b):
     assert np.abs(both.ptm - ch2.ptm @ ch1.ptm).max() <= 1e-12
     seq = apply_local(ch2, identity_channel(), out)
     assert np.abs(seq.rho - apply_local(both, ch_b, s).rho).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
+def test_damping_pair_matches_closed_form(seed, p):
+    # the paper's AD o AD form: a = b = (0, 0, p), E' = diag(q c1, q c2, c3 q^2 + p^2)
+    c1, c2, c3 = random_bell_params(np.random.default_rng(seed)).as_tuple()
+    q = 1.0 - p
+    ad = amplitude_damping(p)
+    out = apply_local(ad, ad, bell_diagonal(c1, c2, c3))
+    expected = np.diag([1.0, q * c1, q * c2, c3 * q * q + p * p])
+    expected[3, 0] = expected[0, 3] = p
+    assert np.abs(out.decomposition.c - expected).max() <= 1e-12
+
+
+# --- batched core -----------------------------------------------------------
+
+def test_kraus_ptm_batch_matches_from_kraus():
+    sets = np.stack([random_kraus(RNG, 3) for _ in range(8)])
+    ptm, choi = _kraus_ptm(sets)
+    assert ptm.shape == choi.shape == (8, 4, 4)
+    assert np.array_equal(choi, choi_from_kraus(sets))
+    for k in range(8):
+        ch = QubitChannel.from_kraus(sets[k])
+        assert np.array_equal(ptm[k], ch.ptm)
+        assert np.array_equal(choi[k], ch.choi)
+        assert np.array_equal(choi[k], choi_from_kraus(sets[k]))
+
+
+def test_kraus_ptm_batch_reports_scalar_message():
+    sets = np.stack([random_kraus(RNG, 2) for _ in range(8)])
+    sets[2] *= 1.1  # not trace preserving
+    with pytest.raises(ValueError) as scalar:
+        QubitChannel.from_kraus(sets[2])
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        _kraus_ptm(sets)
 
 
 # --- sampling ---------------------------------------------------------------

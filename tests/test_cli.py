@@ -216,6 +216,9 @@ def test_verify_rejects_nonpositive_trials(capsys, argv):
     ["scan", "--resolution", "1000000000"],
     ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3", "--steps", "1000000000"],
     ["profile", "--points", "1000000000"],
+    ["verify", "--suite", "protocol", "--trials", "1000000000"],
+    ["verify", "--suite", "gmqd", "--trials", "1000000000"],
+    ["verify", "--suite", "monotonicity", "--trials", "1000000000"],
 ])
 def test_sizes_are_bounded(capsys, argv):
     # rejected before anything is allocated, so this returns at once
@@ -223,6 +226,48 @@ def test_sizes_are_bounded(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+# Estimates printed by `verify --suite monotonicity`, recorded before the
+# suite evaluated its trials as stacked arrays: (seed, trials) -> estimate.
+PINNED_MONOTONICITY = {
+    (0, 10000): "-0.000126051617442",
+    (0, 20): "-0.0158697878056",
+    (1, 20): "-0.00271722621633",
+    (2, 20): "-0.0179079867548",
+    (3, 20): "-0.00924182084721",
+    (4, 20): "-0.00277179864409",
+    (5, 20): "-0.00292941691477",
+    (6, 20): "-0.00498899066597",
+    (7, 20): "-0.017375494232",
+    (8, 20): "-0.0072091153542",
+    (9, 20): "-0.00712552170711",
+}
+
+
+@pytest.mark.parametrize("seed,trials", sorted(PINNED_MONOTONICITY))
+def test_verify_monotonicity_output_pinned(capsys, seed, trials):
+    argv = ["verify", "--suite", "monotonicity", "--seed", str(seed)]
+    if trials != 10000:  # the default
+        argv += ["--trials", str(trials)]
+    assert main(argv) == 0
+    estimate = PINNED_MONOTONICITY[(seed, trials)]
+    expected = "\n".join([
+        "{",
+        '  "monotonicity": {',
+        f'    "estimate": {estimate},',
+        '    "reference": 0.0,',
+        f'    "abs_err": {estimate.lstrip("-")},',
+        f'    "trials": {trials},',
+        f'    "seed": {seed},',
+        '    "config": {',
+        f'      "n_trials": {trials}',
+        "    }",
+        "  }",
+        "}",
+        "",
+    ])
+    assert capsys.readouterr().out == expected
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,29 @@ def test_su2_maps_to_rotation():
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
         assert np.allclose(unitary_to_rotation(u),
                            rotation_axis_angle(axis, angle), atol=1e-12)
+
+
+def _unit_axes(n):
+    axes = RNG.normal(size=(n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def test_su2_batch_matches_scalar():
+    axes = _unit_axes(8)
+    angles = RNG.uniform(0.0, 2.0 * np.pi, size=8)
+    batch = su2_axis_angle(axes, angles)
+    assert batch.shape == (8, 2, 2)
+    for k in range(8):
+        assert np.array_equal(batch[k], su2_axis_angle(axes[k], angles[k]))
+
+
+def test_su2_batch_reports_scalar_message():
+    axes = _unit_axes(8)
+    axes[5] *= 1.5
+    with pytest.raises(ValueError) as scalar:
+        su2_axis_angle(axes[5], 0.3)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        su2_axis_angle(axes, np.full(8, 0.3))
 
 
 def test_unitary_to_rotation_identity():

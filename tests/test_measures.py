@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, measure_pair, rsp_fidelity
+from rsplab.oracles import ginibre_state, random_unitary
 from rsplab.states import (
     PauliDecomposition,
     TwoQubitState,
@@ -112,6 +115,23 @@ def test_local_unitary_invariance():
         t = local_unitary(s, us[0], us[1])
         assert abs(rsp_fidelity(t) - rsp_fidelity(s)) <= 1e-9
         assert abs(gmqd(t) - gmqd(s)) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fidelity_at_most_discord(seed):
+    s = ginibre_state(np.random.default_rng(seed))
+    assert rsp_fidelity(s) <= gmqd(s) + 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_measures_invariant_under_local_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    s = ginibre_state(rng)
+    t = local_unitary(s, random_unitary(rng), random_unitary(rng))
+    assert abs(rsp_fidelity(t) - rsp_fidelity(s)) <= 1e-12
+    assert abs(gmqd(t) - gmqd(s)) <= 1e-12
 
 
 def test_bell_diagonal_closed_form():

@@ -1,11 +1,17 @@
 """Slower randomized checks live in the acceptance module; these keep
 the oracle plumbing honest at small trial counts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rsplab.channels import apply_local, depolarizing, phase_flip
+from rsplab import oracles
+from rsplab.channels import apply_local, depolarizing, phase_flip, sample_unital_local
+from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.oracles import (
+    MAX_TRIALS,
+    SUITE_CHUNK,
     OracleConfig,
     OracleReport,
     _named_states,
@@ -164,6 +170,60 @@ def test_monotonicity_small_run():
     assert rep.estimate <= 1e-9  # worst fidelity increase seen
 
 
+def _scalar_rises(seed, n_trials):
+    """Per-trial f increase along the scalar route: one state, one
+    channel pair and one application at a time."""
+    rises = []
+    for i in range(n_trials):
+        rng = np.random.default_rng([seed, i])
+        s = ginibre_state(rng)
+        ch_a, ch_b = sample_unital_local(rng)
+        rises.append(rsp_fidelity(apply_local(ch_a, ch_b, s)) - rsp_fidelity(s))
+    return rises
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_monotonicity_suite_matches_scalar_loop(seed):
+    rises = _scalar_rises(seed, SUITE_CHUNK + 1)
+    for n in (1, 20, SUITE_CHUNK + 1):  # the last crosses a chunk boundary
+        worst = max(rises[:n])
+        rep = unital_monotonicity_suite(n_trials=n, seed=seed)
+        assert rep.estimate == worst
+        assert rep.worst_case.endswith(f" at trial {rises.index(worst)}")
+
+
+def test_monotonicity_suite_independent_of_chunking(monkeypatch):
+    whole = unital_monotonicity_suite(n_trials=50, seed=11)
+    monkeypatch.setattr(oracles, "SUITE_CHUNK", 7)
+    chunked = unital_monotonicity_suite(n_trials=50, seed=11)
+    assert (chunked.estimate, chunked.worst_case) == (whole.estimate, whole.worst_case)
+
+
+def _suite_peak_bytes(n_trials):
+    tracemalloc.start()
+    try:
+        unital_monotonicity_suite(n_trials=n_trials, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monotonicity_suite_memory_bounded_by_chunk(monkeypatch):
+    # with small chunks, ten times the trials must not need ten times the memory
+    monkeypatch.setattr(oracles, "SUITE_CHUNK", 32)
+    _suite_peak_bytes(32)  # first-call allocations are not the suite's
+    one_chunk = _suite_peak_bytes(32)
+    ten_chunks = _suite_peak_bytes(320)
+    assert ten_chunks < 2 * one_chunk
+
+
+def test_random_unitary_draws_axis_then_angle():
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=3)
+    expected = su2_axis_angle(v / np.linalg.norm(v), rng.uniform(0.0, 2.0 * np.pi))
+    assert np.array_equal(random_unitary(np.random.default_rng(8)), expected)
+
+
 def test_unital_pair_decreases_fidelity():
     before = bell_diagonal(-1.0, -1.0, -1.0)
     after = apply_local(phase_flip(0.3), depolarizing(0.5), before)
@@ -216,6 +276,14 @@ def test_gmqd_suite_small():
 def test_suites_need_a_trial(suite, n_trials):
     with pytest.raises(ValueError, match="at least one trial"):
         suite(n_trials=n_trials)
+
+
+@pytest.mark.parametrize("suite", [protocol_suite, gmqd_suite,
+                                   unital_monotonicity_suite])
+def test_suites_bound_trials(suite):
+    # rejected before any trial is drawn, so this returns at once
+    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS}"):
+        suite(n_trials=MAX_TRIALS + 1)
 
 
 def test_random_state_generators():

@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from rsplab.linalg import ID2, SIGMA_X, su2_axis_angle
+from rsplab.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_angle
 from rsplab.states import (
     BellDiagonalParams,
     PauliDecomposition,
     TwoQubitState,
+    _checked,
+    _coefficients,
+    _density,
     bell_diagonal,
     bell_eigenvalues,
     compose,
@@ -216,3 +221,53 @@ def test_states_are_immutable():
         s.rho[0, 0] = 9.0
     with pytest.raises(ValueError):
         s.e[0, 0] = 9.0
+
+
+# --- batched cores -----------------------------------------------------------
+
+def _random_rhos(n):
+    return np.stack([random_state(RNG).rho for _ in range(n)])
+
+
+def test_coefficients_batch_matches_decompose():
+    rhos = _random_rhos(8)
+    c = _coefficients(rhos)
+    assert c.shape == (8, 4, 4)
+    dens = _density(c)
+    for k in range(8):
+        d = decompose(rhos[k])
+        assert np.array_equal(c[k], d.c)
+        assert np.array_equal(dens[k], compose(d).rho)
+
+
+def _non_hermitian(rho):
+    rho[0, 1] += 0.3
+    return rho
+
+
+def _wrong_trace(rho):
+    return 1.5 * rho
+
+
+def _not_psd(rho):
+    # Bell-diagonal matrix with c = (1, 1, 1): eigenvalue -1/2
+    return 0.25 * (np.eye(4) + sum(np.kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+
+
+@pytest.mark.parametrize("spoil", [_non_hermitian, _wrong_trace, _not_psd])
+def test_coefficients_batch_reports_scalar_message(spoil):
+    rhos = _random_rhos(8)
+    rhos[3] = spoil(rhos[3].copy())
+    with pytest.raises(ValueError) as scalar:
+        decompose(rhos[3])
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        _coefficients(rhos)
+
+
+def test_checked_batch_reports_scalar_message():
+    c = np.stack([bell_diagonal(0.5, 0.0, -0.5).decomposition.c] * 8)
+    c[6, 0, 0] = 1.5
+    with pytest.raises(ValueError) as scalar:
+        PauliDecomposition.from_matrix(c[6])
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        _checked(c)
