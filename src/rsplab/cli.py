@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -76,8 +77,14 @@ def _load_channel(arg: str) -> channels.QubitChannel:
         return channels.channel_from_json(json.load(fh))
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path``, opened for writing and closed after, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +120,8 @@ def _cmd_apply(args) -> int:
 def _cmd_evolve(args) -> int:
     c = _parse_triple(args.c)
     trace = enhancement.trace_evolution(c, args.gamma_t_max, steps=args.steps)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         enhancement.write_trace_csv(trace, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -137,12 +140,8 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_scan(args) -> int:
     result = enhancement.scan_tetrahedron(resolution=args.resolution)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         enhancement.write_scan_csv(result, fh, include_summary=True)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     if args.out:
         for line in enhancement.scan_summary_lines(result):
             print(line)
@@ -151,12 +150,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_profile(args) -> int:
     rows = enhancement.profile_line(args.points)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         enhancement.write_profile_csv(rows, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 

@@ -10,27 +10,31 @@ along the damping trajectory, the piecewise fidelity in q with branch
 point q1, the enhancibility criterion and optimal parameter, time
 traces with sudden-change and vanish-at-instant event detection, and
 the tetrahedron scan / profile sweeps behind the region plots.
+The enhancement verdict, one batched core behind every entry point, needs
+the criterion to hold and damping at p_opt = 1 - q1 to raise f by > 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import probability
-from .states import (BellDiagonalParams, PauliDecomposition, TwoQubitState,
-                     as_bell_params, compose)
+from .states import (BELL_TOL, PauliDecomposition, TwoQubitState,
+                     as_bell_params, bell_eigenvalues, compose)
 
 EVENT_TOL = 1e-9  # bisection width for event gamma_t
 # Size limits, checked before anything is allocated: a scan holds
-# resolution^3 lattice floats (415 MiB peak at 201), a trace steps rows
-# and a profile one enhancement report per point.
+# resolution^3 lattice floats, a trace steps rows and a profile a few
+# arrays of points floats.
 MAX_RESOLUTION = 201
 MAX_STEPS = 10**6
 MAX_POINTS = 10**5
+_CSV_CHUNK = 2**16  # rows per .tolist(); whole columns add 290 MiB to a 201 scan
 
 
 def evolve_closed_form(c, p) -> TwoQubitState:
@@ -56,8 +60,9 @@ def _damped(c1, c2, c3, p, q):
     candidates of each, and the middle correlation element
     E33 = c3 q^2 + p^2.
     """
-    e1sq = (q * c1) ** 2
-    e2sq = (q * c2) ** 2
+    e1, e2 = q * c1, q * c2
+    e1sq = e1 * e1  # not ** 2, which on floats is C pow, an ulp off at times
+    e2sq = e2 * e2
     e3 = c3 * q * q + p * p
     f_cands = (e1sq, e2sq, e3 * e3)
     dg_cands = (e1sq, e2sq, e3 * e3 + p * p)
@@ -88,14 +93,12 @@ def q1(c_max: float, c3: float) -> float:
 
     Requires 0 < c_max <= 1 and |c3| <= c_max.
     """
-    c_max = float(c_max)
-    c3 = float(c3)
+    c_max, c3 = float(c_max), float(c3)
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"c_max must lie in (0,1], got {c_max!r}")
     if abs(c3) > c_max:
         raise ValueError(f"|c3| = {abs(c3)!r} exceeds c_max = {c_max!r}")
-    disc = c_max * c_max + 4.0 * (c_max - c3)
-    return 2.0 / (2.0 + c_max + math.sqrt(disc))
+    return float(_criterion(c_max, 0.0, c3).q1)
 
 
 def f_piecewise(c, q: float) -> float:
@@ -145,11 +148,15 @@ def f_derivative(c, q: float) -> float:
     return (c1 * c1 + c2 * c2 - c_max * c_max) * q + e3 * (2.0 * (c3 + 1.0) * q - 2.0)
 
 
-def _criterion(c1, c2, c3):
+_Criterion = namedtuple("_Criterion", "c_max applicable q1 num den rhs")
+
+
+def _criterion(c1, c2, c3) -> _Criterion:
     """Terms of the enhancibility inequality num > rhs * den.
 
-    Inputs broadcast together.  Returns ``(applicable, num, den, rhs)``;
-    the criterion applies where max(|c1|,|c2|) > 0 and |c3| <= it.
+    Inputs broadcast together.  With c = max(|c1|,|c2|) and
+    s = 2 + c + sqrt(c^2 + 4 (c - c3)), the branch point is q1 = 2/s and
+    rhs = s^2/4; the criterion applies where c > 0 and |c3| <= c.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
@@ -157,69 +164,77 @@ def _criterion(c1, c2, c3):
     c_max = np.maximum(np.abs(c1), np.abs(c2))
     num = c1 * c1 + c2 * c2
     den = np.minimum(c1 * c1, c2 * c2) + c3 * c3
-    disc = np.maximum(c_max * c_max + 4.0 * (c_max - c3), 0.0)
-    rhs = 0.25 * (2.0 + c_max + np.sqrt(disc)) ** 2
+    s = 2.0 + c_max + np.sqrt(np.maximum(c_max * c_max + 4.0 * (c_max - c3), 0.0))
     applicable = (c_max > 0.0) & (np.abs(c3) <= c_max)
-    return applicable, num, den, rhs
+    return _Criterion(c_max, applicable, 2.0 / s, num, den, 0.25 * s * s)
 
 
-def _enhancible_mask(c1, c2, c3):
-    """Vectorized enhancibility criterion; inputs broadcast together."""
-    applicable, num, den, rhs = _criterion(c1, c2, c3)
-    zero_den = (den == 0.0) & (num > 0.0)
-    return applicable & ((num > rhs * den) | zero_den)
+def _verdict(c1, c2, c3):
+    """The enhancement verdict over 1-d arrays of Bell-diagonal points.
+
+    Enhancible: the criterion applies, num > rhs * den (true for
+    den = 0 < num), and f at p_opt = 1 - q1, evaluated only there, beats
+    f at p = 0 by more than 1e-12.  Returns (criterion, indices of
+    enhancible points, f there).
+    """
+    crit = _criterion(c1, c2, c3)
+    holds = np.flatnonzero(crit.applicable & (crit.num > crit.rhs * crit.den))
+    c1, c2, c3 = c1[holds], c2[holds], c3[holds]
+    p = 1.0 - crit.q1[holds]
+    f_opt = _damped(c1, c2, c3, p, 1.0 - p)[0]
+    gain = f_opt > _damped(c1, c2, c3, 0.0, 1.0)[0] + 1e-12
+    return crit, holds[gain], f_opt[gain]
 
 
 def enhancibility_margin(c) -> float:
     """Signed criterion margin LHS - RHS; +inf for the zero-denominator
-    case, -inf when the criterion does not apply (|c3| > c or c = 0)."""
-    applicable, num, den, rhs = _criterion(*as_bell_params(c).as_tuple())
-    if not applicable:
+    case, -inf when the criterion does not apply (|c3| > c or c = 0).
+
+    A margin at rounding level is not a verdict: on the criterion's
+    boundary the gain at p_opt is zero in exact arithmetic, so such
+    points read as not enhancible whatever the sign of the margin.
+    """
+    crit = _criterion(*as_bell_params(c).as_tuple())
+    if not crit.applicable:
         return -math.inf
-    if den == 0.0:
+    if crit.den == 0.0:
         return math.inf
-    return float(num / den - rhs)
+    return float(crit.num / crit.den - crit.rhs)
 
 
 def is_enhancible(c) -> bool:
-    """Whether some damping strength strictly raises the RSP-fidelity.
+    """Whether damping at p_opt raises the RSP-fidelity by more than 1e-12.
 
-    False when max(|c1|,|c2|) < |c3| (damping only hurts there) and for
-    the maximally mixed state; otherwise the criterion inequality with
-    the zero-denominator case counted as satisfied.
+    False when max(|c1|,|c2|) < |c3| (damping only hurts there), for the
+    maximally mixed state, and where the criterion fails or holds by
+    rounding only.
     """
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
-    return bool(_enhancible_mask(c1, c2, c3))
+    return _verdict(*np.reshape(as_bell_params(c).as_tuple(), (3, 1)))[1].size > 0
 
 
 def p_opt(c) -> float:
-    """Optimal damping strength 1 - q1 for an enhancible state.
+    """Optimal damping strength 1 - q1 for an enhancible state (a gain in
+    f above 1e-12).
 
     Raises:
         ValueError: when called on a non-enhancible state.
     """
     params = as_bell_params(c)
-    if not is_enhancible(params):
+    crit, idx, f_opt = _verdict(*np.reshape(params.as_tuple(), (3, 1)))
+    if not idx.size:
         raise ValueError("state is not enhancible")
-    c1, c2, c3 = params.as_tuple()
-    p = 1.0 - q1(max(abs(c1), abs(c2)), c3)
-    f_at = f_under_damping(params, p)
-    # post-checks: strict gain and local maximality
-    if not f_at > f_under_damping(params, 0.0):
-        raise RuntimeError("optimal damping did not improve the fidelity")
+    p = 1.0 - float(crit.q1[0])
+    # post-check: local maximality
     for probe in (max(0.0, p - 1e-4), min(1.0, p + 1e-4)):
-        if f_under_damping(params, probe) > f_at + 1e-12:
+        if f_under_damping(params, probe) > f_opt[0] + 1e-12:
             raise RuntimeError("p_opt is not a local maximum")
     return p
 
 
 def sweep_best_p(c, n: int = 10000):
     """Brute-force check: (p, f) maximizing f over an interior p grid."""
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
     grid = np.linspace(0.0, 1.0, int(n))[1:-1]
-    vals = _damped(c1, c2, c3, grid, 1.0 - grid)[0]
+    vals = _damped(*as_bell_params(c).as_tuple(), grid, 1.0 - grid)[0]
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])
 
@@ -250,19 +265,13 @@ class EnhanceReport:
 def enhance_report(c) -> EnhanceReport:
     """Full enhancement analysis of one Bell-diagonal state."""
     params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
-    c_max = max(abs(c1), abs(c2))
-    f_before = f_under_damping(params, 0.0)
-    verdict = is_enhancible(params)
-    if c_max > 0.0 and abs(c3) <= c_max:
-        q1v = q1(c_max, c3)
-        p_optv = 1.0 - q1v
-    else:
-        q1v = None
-        p_optv = None
-    f_after = f_under_damping(params, p_optv) if verdict else f_before
-    return EnhanceReport(c=c_max, enhancible=verdict, q1=q1v, p_opt=p_optv,
-                         f_before=f_before, f_after=f_after)
+    crit, idx, f_opt = _verdict(*np.reshape(params.as_tuple(), (3, 1)))
+    f_before = float(_damped(*params.as_tuple(), 0.0, 1.0)[0])
+    q1v = float(crit.q1[0]) if crit.applicable[0] else None
+    return EnhanceReport(c=float(crit.c_max[0]), enhancible=bool(idx.size), q1=q1v,
+                         p_opt=None if q1v is None else 1.0 - q1v,
+                         f_before=f_before,
+                         f_after=float(f_opt[0]) if idx.size else f_before)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +322,7 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     touches are roots of the middle correlation element where the
     fidelity vanishes but the discord stays positive.
     """
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
+    c1, c2, c3 = as_bell_params(c).as_tuple()
     gamma_t_max = float(gamma_t_max)
     steps = int(steps)
     if not 2 <= steps <= MAX_STEPS:
@@ -326,20 +334,16 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     p = 1.0 - q
     f_vals, dg_vals, f_cands, dg_cands, e3 = _damped(c1, c2, c3, p, q)
 
-    def cands_at(gt, which):
-        q = np.exp(-np.array([gt]))
-        _, _, fc, dc, _ = _damped(c1, c2, c3, 1.0 - q, q)
-        return [v[0] for v in (fc if which == "f" else dc)]
-
     events = []
-    for which, cands in (("f", f_cands), ("dg", dg_cands)):
+    for which, cands, slot in (("f", f_cands, 2), ("dg", dg_cands, 3)):
         idx = np.argmax(np.stack(cands), axis=0)
         for k in np.nonzero(np.diff(idx) != 0)[0]:
             old, new = int(idx[k]), int(idx[k + 1])
 
-            def gap(gt, old=old, new=new, which=which):
-                vals = cands_at(gt, which)
-                return vals[new] - vals[old]
+            def gap(gt, old=old, new=new, slot=slot):
+                q = np.exp(-np.array([gt]))
+                vals = _damped(c1, c2, c3, 1.0 - q, q)[slot]
+                return vals[new][0] - vals[old][0]
 
             lo, hi = float(gts[k]), float(gts[k + 1])
             if not gap(lo) * gap(hi) < 0.0:
@@ -357,8 +361,7 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
 
         root = _bisect(e3_at, float(gts[k]), float(gts[k + 1]))
         p_root = 1.0 - math.exp(-root)
-        f_root = f_under_damping(params, p_root)
-        dg_root = dg_under_damping(params, p_root)
+        f_root, dg_root = _damped(c1, c2, c3, p_root, 1.0 - p_root)[:2]
         # only isolated vanishing points with surviving discord qualify
         if f_root <= 1e-10 and dg_root >= 1e-6:
             touches.append(root)
@@ -368,19 +371,23 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
                           zero_touches=tuple(touches))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _write_rows(fh, header: str, row_format: str, columns) -> None:
+    """Write a CSV header line, then ``row_format % row`` for each row of
+    the zipped array columns, converted to Python values in chunks."""
+    fh.write(header + "\n")
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        rows = zip(*(col[start:start + _CSV_CHUNK].tolist() for col in columns))
+        fh.writelines(row_format % row for row in rows)
 
 
 def write_trace_csv(trace: EvolutionTrace, fh) -> None:
     """Serialize a trace: data rows, then event comment lines."""
-    fh.write("gamma_t,p,f_rsp,d_g\n")
-    for gt, p, f, dg in zip(trace.gamma_t, trace.p, trace.f_rsp, trace.d_g):
-        fh.write(f"{_fmt(gt)},{_fmt(p)},{_fmt(f)},{_fmt(dg)}\n")
+    _write_rows(fh, "gamma_t,p,f_rsp,d_g", "%.12g,%.12g,%.12g,%.12g\n",
+                (trace.gamma_t, trace.p, trace.f_rsp, trace.d_g))
     for ev in trace.sudden_changes:
-        fh.write(f"# sudden_change gamma_t={_fmt(ev.gamma_t)} measure={ev.measure}\n")
+        fh.write(f"# sudden_change gamma_t={ev.gamma_t:.12g} measure={ev.measure}\n")
     for gt in trace.zero_touches:
-        fh.write(f"# zero_touch gamma_t={_fmt(gt)}\n")
+        fh.write(f"# zero_touch gamma_t={gt:.12g}\n")
 
 
 def parse_trace_csv(text: str) -> EvolutionTrace:
@@ -454,23 +461,20 @@ def scan_tetrahedron(resolution: int = 81) -> ScanResult:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
     axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric
-    g1, g2, g3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    c1 = g1.ravel()
-    c2 = g2.ravel()
-    c3 = g3.ravel()
+    c1, c2, c3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
     member = ((1.0 - c1 - c2 - c3 >= -4e-12)
               & (1.0 - c1 + c2 + c3 >= -4e-12)
               & (1.0 + c1 - c2 + c3 >= -4e-12)
               & (1.0 + c1 + c2 - c3 >= -4e-12))
     points = np.stack([c1[member], c2[member], c3[member]], axis=1)
-    flags = _enhancible_mask(points[:, 0], points[:, 1], points[:, 2])
-    flags_full = np.zeros(c1.size, dtype=bool)
+    del c1, c2, c3  # release the lattice before the verdict
+    flags = np.zeros(len(points), dtype=bool)
+    flags[_verdict(*points.T)[1]] = True
+    flags_full = np.zeros(member.size, dtype=bool)
     flags_full[member] = flags
 
-    n = resolution
-    shape = (n, n, n)
-    member3 = member.reshape(shape)
-    flags3 = flags_full.reshape(shape)
+    member3 = member.reshape((resolution,) * 3)
+    flags3 = flags_full.reshape(member3.shape)
     symmetry = {}
     for name, (f1, f2, f3) in _SYMMETRY_MAPS.items():
         sl = tuple(slice(None, None, -1) if f else slice(None)
@@ -486,16 +490,15 @@ def scan_tetrahedron(resolution: int = 81) -> ScanResult:
 
 
 def write_scan_csv(result: ScanResult, fh, include_summary: bool = False) -> None:
-    fh.write("c1,c2,c3,enhancible\n")
-    for (a, b, c), flag in zip(result.points, result.enhancible):
-        fh.write(f"{_fmt(a)},{_fmt(b)},{_fmt(c)},{'true' if flag else 'false'}\n")
+    _write_rows(fh, "c1,c2,c3,enhancible", "%.12g,%.12g,%.12g,%s\n",
+                (*result.points.T, np.where(result.enhancible, "true", "false")))
     if include_summary:
         for line in scan_summary_lines(result):
             fh.write(f"# {line}\n")
 
 
 def scan_summary_lines(result: ScanResult):
-    lines = [f"enhancible_fraction {_fmt(result.fraction)}"]
+    lines = [f"enhancible_fraction {result.fraction:.12g}"]
     for name in sorted(result.symmetry):
         info = result.symmetry[name]
         lines.append(f"symmetry map={name} holds={'true' if info['holds'] else 'false'} "
@@ -530,15 +533,16 @@ def profile_line(n: int = 201) -> np.ndarray:
     n = int(n)
     if not 2 <= n <= MAX_POINTS:
         raise ValueError(f"points must lie in [2, {MAX_POINTS}], got {n}")
-    rows = np.empty((n, 3))
-    for i, c1 in enumerate(np.linspace(-1.0, 1.0, n)):
-        params = BellDiagonalParams(float(c1), -1.0, float(c1))
-        rep = enhance_report(params)
-        rows[i] = (c1, rep.f_before, rep.f_after)
+    c1 = np.linspace(-1.0, 1.0, n)
+    c2 = np.full(n, -1.0)
+    if bell_eigenvalues(c1, c2, c1).min() < -BELL_TOL:
+        raise ValueError("profile line leaves the Bell tetrahedron")
+    _, idx, f_opt = _verdict(c1, c2, c1)
+    f_before = _damped(c1, c2, c1, 0.0, 1.0)[0]
+    rows = np.column_stack([c1, f_before, f_before])
+    rows[idx, 2] = f_opt
     return rows
 
 
 def write_profile_csv(rows: np.ndarray, fh) -> None:
-    fh.write("c1,f_before,f_after\n")
-    for c1, fb, fa in rows:
-        fh.write(f"{_fmt(c1)},{_fmt(fb)},{_fmt(fa)}\n")
+    _write_rows(fh, "c1,f_before,f_after", "%.12g,%.12g,%.12g\n", rows.T)

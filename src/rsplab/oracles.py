@@ -394,15 +394,20 @@ def nonunital_increase_witness() -> OracleReport:
                    passed=ok)
 
 
-def discord_raising_check() -> OracleReport:
-    """The intro example: a zero-discord state gains discord 0.25 under a
-    local channel while its RSP-fidelity stays zero."""
+def _discord_raising_pair():
+    """(|00><00| + |11><11|)/2 and its image under discord_raising x id."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5  # |00><00|
     rho[3, 3] = 0.5  # |11><11|
     before = TwoQubitState(rho)
-    after = channels.apply_local(channels.discord_raising(),
-                                 channels.identity_channel(), before)
+    return before, channels.apply_local(channels.discord_raising(),
+                                        channels.identity_channel(), before)
+
+
+def discord_raising_check() -> OracleReport:
+    """The intro example: a zero-discord state gains discord 0.25 under a
+    local channel while its RSP-fidelity stays zero."""
+    before, after = _discord_raising_pair()
     d0 = measures.gmqd(before)
     d1 = measures.gmqd(after)
     f1 = measures.rsp_fidelity(after)
@@ -416,11 +421,7 @@ def _named_states():
     singlet = bell_diagonal(-1.0, -1.0, -1.0)
     mixed = bell_diagonal(0.0, 0.0, 0.0)
     demo = bell_diagonal(0.5, 0.0, -0.5)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.5
-    rho[3, 3] = 0.5
-    gap = channels.apply_local(channels.discord_raising(),
-                               channels.identity_channel(), TwoQubitState(rho))
+    gap = _discord_raising_pair()[1]
     return [("singlet", singlet), ("maximally_mixed", mixed),
             ("bell(0.5,0,-0.5)", demo), ("cq_gap", gap)]
 

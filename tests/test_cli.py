@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -9,7 +12,8 @@ import pytest
 
 import rsplab
 from rsplab.cli import main
-from rsplab.enhancement import parse_scan_csv, parse_trace_csv
+from rsplab.enhancement import (is_enhancible, p_opt, parse_scan_csv,
+                                parse_trace_csv)
 from rsplab.states import bell_diagonal, state_to_json
 
 
@@ -148,6 +152,14 @@ def test_scan_stdout(capsys):
     assert "# enhancible_fraction" in out
 
 
+def test_profile_to_file(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--points", "11", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["profile", "--points", "11"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_profile(capsys):
     rc = main(["profile", "--points", "11"])
     out = capsys.readouterr().out
@@ -268,6 +280,82 @@ def test_verify_monotonicity_output_pinned(capsys, seed, trials):
         "",
     ])
     assert capsys.readouterr().out == expected
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def _tetra_points(seed, n):
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < n:
+        c1, c2, c3 = (float(x) for x in rng.uniform(-1.0, 1.0, size=3))
+        if min(1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3,
+               1 + c1 + c2 - c3) >= 0.0:
+            pts.append((c1, c2, c3))
+    return pts
+
+
+def _c_arg(c):
+    return "--c=" + ",".join(repr(x) for x in c)
+
+
+_NAMED_C = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0),
+            (-1.0, -1.0, -1.0), (0.0, 0.0, 0.5), (0.65, 0.0, 0.3),
+            (0.65, 0.0, -0.3), (0.5, 0.0, -0.5), (1.0, 1.0, 1.0)]
+
+# Command sets whose stdout (with exit codes) is pinned below.
+PINNED_COMMANDS = {
+    "enhance": lambda: [["enhance", _c_arg(c)]
+                        for c in _NAMED_C + _tetra_points(2024, 500)],
+    "evolve": lambda: [["evolve", _c_arg(c), "--gamma-t-max", "3",
+                        "--steps", "2001"]
+                       for c in [(0.5, 0.0, -0.5)] + _tetra_points(7, 19)],
+    "profile 2": lambda: [["profile", "--points", "2"]],
+    "profile 201": lambda: [["profile", "--points", "201"]],
+    "profile 20001": lambda: [["profile", "--points", "20001"]],
+    "scan 41": lambda: [["scan", "--resolution", "41"]],
+    "scan 81": lambda: [["scan", "--resolution", "81"]],
+}
+
+# sha256 of "<exit code>\n<stdout>" over each command set, recorded before
+# the enhancement entry points shared one batched verdict.
+PINNED_DIGESTS = {
+    "enhance": "34ed85d37dcb75627195eaaeffcb57652b8cb5d240039f12affca39b2c4f6a00",
+    "evolve": "0289a67702998e47aa26bdec107d139990b749cf630ad3a1da140551c1b8939a",
+    "profile 2": "4441401570df670cb2fa43137465a8b732b7c86b0e100d8f913cf4330028fe62",
+    "profile 201": "b10692137462893cf0f569f15e406c66bf4d637d93575e1e609b2f08a0ad8586",
+    "profile 20001": "007cccca7261fb5933a94bb9b60d6acc096774bd316bf47c0f4b5f9e6af4f88b",
+    "scan 41": "f8e2e390f39a07ddef48343d36e5ada2c1c40291472fc6d1933545d38e9d11d7",
+    "scan 81": "5896bf0711422f52549a2087b693666cf17f3ca79a3fddafeb2c9cc63c55bb9b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_enhancement_output_pinned(name):
+    h = hashlib.sha256()
+    for argv in PINNED_COMMANDS[name]():
+        rc, out = _run(argv)
+        h.update(f"{rc}\n{out}".encode())
+    assert h.hexdigest() == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("c", [(1e-6, 0.0, 0.0),
+                               (-0.3, 0.0, 0.19999999999999996)])
+def test_enhance_rounding_level_gain_is_not_enhancible(capsys, c):
+    # the criterion holds by rounding only; damping at p_opt gains < 1e-18
+    payload = run_json(capsys, ["enhance", _c_arg(c)])
+    assert payload["enhancible"] is False
+    assert payload["f_after"] == payload["f_before"]
+    assert payload["p_opt"] is not None
+    assert not is_enhancible(c)
+    with pytest.raises(ValueError):
+        p_opt(c)
 
 
 def test_unknown_subcommand_exits_2():

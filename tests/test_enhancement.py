@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
@@ -27,7 +29,7 @@ from rsplab.enhancement import (
     write_trace_csv,
 )
 from rsplab.measures import gmqd, rsp_fidelity
-from rsplab.states import bell_diagonal, bell_eigenvalues
+from rsplab.states import BellDiagonalParams, bell_diagonal, bell_eigenvalues
 
 ZERO_TOUCH_GT = -math.log(2.0 - math.sqrt(2.0))        # 0.534799996739...
 SUDDEN_GT = -math.log((5.0 - math.sqrt(17.0)) / 2.0)   # 0.824515914124...
@@ -39,6 +41,11 @@ def random_tetra_point(rng):
         c = rng.uniform(-1.0, 1.0, size=3)
         if bell_eigenvalues(*c).min() >= 0.0:
             return tuple(float(x) for x in c)
+
+
+def assert_12_digits(got, want):
+    # "%.12g" rounds to half a unit in the 12th digit, 5e-12 relative
+    np.testing.assert_allclose(got, want, rtol=6e-12, atol=0.0)
 
 
 # --- closed-form evolution --------------------------------------------------
@@ -328,20 +335,25 @@ def test_trace_degenerate_families():
     assert kinks["f"] == pytest.approx(math.log(3.0), abs=1e-6)
 
 
-def test_trace_csv_round_trip():
-    tr = trace_evolution(DEMO_C, 3.0, steps=301)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       gamma_t_max=st.floats(1e-3, 20.0),
+       steps=st.integers(2, 3000))
+def test_trace_csv_round_trip(seed, gamma_t_max, steps):
+    c = DEMO_C if seed == 0 else random_tetra_point(np.random.default_rng(seed))
+    tr = trace_evolution(c, gamma_t_max, steps=steps)
     buf = io.StringIO()
     write_trace_csv(tr, buf)
     text = buf.getvalue()
     assert text.startswith("gamma_t,p,f_rsp,d_g\n")
     parsed = parse_trace_csv(text)
-    assert np.allclose(parsed.gamma_t, tr.gamma_t, atol=1e-10)
-    assert np.allclose(parsed.f_rsp, tr.f_rsp, atol=1e-10)
-    assert len(parsed.sudden_changes) == len(tr.sudden_changes)
-    assert len(parsed.zero_touches) == len(tr.zero_touches)
-    for got, want in zip(parsed.sudden_changes, tr.sudden_changes):
-        assert got.measure == want.measure
-        assert got.gamma_t == pytest.approx(want.gamma_t, abs=1e-10)
+    for field in ("gamma_t", "p", "f_rsp", "d_g"):
+        assert_12_digits(getattr(parsed, field), getattr(tr, field))
+    assert [ev.measure for ev in parsed.sudden_changes] == \
+        [ev.measure for ev in tr.sudden_changes]
+    assert_12_digits([ev.gamma_t for ev in parsed.sudden_changes],
+                     [ev.gamma_t for ev in tr.sudden_changes])
+    assert_12_digits(parsed.zero_touches, tr.zero_touches)
 
 
 def test_trace_rejects_bad_grid():
@@ -387,16 +399,46 @@ def test_scan_matches_pointwise_verdict():
         assert flag == is_enhancible(tuple(float(v) for v in pt))
 
 
-def test_scan_csv_round_trip():
-    res = scan_tetrahedron(resolution=9)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(resolution=st.integers(2, 41))
+def test_scan_csv_round_trip(resolution):
+    res = scan_tetrahedron(resolution=resolution)
     buf = io.StringIO()
     write_scan_csv(res, buf, include_summary=True)
     text = buf.getvalue()
     assert text.startswith("c1,c2,c3,enhancible\n")
     pts, flags = parse_scan_csv(text)
     assert pts.shape == (len(res.points), 3)
-    assert np.allclose(pts, res.points, atol=1e-10)
+    assert_12_digits(pts, res.points)
     assert np.array_equal(flags, res.enhancible)
+
+
+# Resolution-101 lattice points that the scan flagged before its verdict
+# required a gain above 1e-12: each lies on the criterion boundary, where
+# damping at p_opt gains about 1e-17.
+SCAN_101_BOUNDARY = [
+    (-0.4000000000000001, 0.0, -0.19999999999999996),
+    (-0.3, 0.0, 0.19999999999999996),
+    (0.0, -0.4000000000000001, -0.19999999999999996),
+    (0.0, -0.3, 0.19999999999999996),
+    (0.0, 0.3, 0.19999999999999996),
+    (0.0, 0.4000000000000001, -0.19999999999999996),
+    (0.3, 0.0, 0.19999999999999996),
+    (0.4000000000000001, 0.0, -0.19999999999999996),
+]
+
+
+def test_scan_leaves_boundary_points_unflagged():
+    res = scan_tetrahedron(resolution=101)
+    flags = {tuple(pt.tolist()): flag
+             for pt, flag in zip(res.points, res.enhancible)}
+    for c in SCAN_101_BOUNDARY:
+        assert not flags[c]
+        assert not is_enhancible(c)
+        rep = enhance_report(c)
+        assert not rep.enhancible and rep.f_after == rep.f_before
+    for name in ("neg_c1", "neg_c2", "neg_c1_c2"):
+        assert res.symmetry[name]["holds"]
 
 
 # --- profile ----------------------------------------------------------------
@@ -420,6 +462,19 @@ def test_profile_layout_and_endpoints():
 def test_profile_never_loses_fidelity():
     rows = profile_line(101)
     assert np.all(rows[:, 2] >= rows[:, 1] - 1e-15)
+
+
+def test_profile_matches_pointwise_reports():
+    # bit for bit: the batched sweep, the one-point report and the scalar
+    # f_under_damping all square by multiplication
+    rows = profile_line(20001)
+    for c1, f_before, f_after in rows.tolist():
+        c = BellDiagonalParams(c1, -1.0, c1)
+        rep = enhance_report(c)
+        assert (f_before, f_after) == (rep.f_before, rep.f_after)
+        assert f_before == f_under_damping(c, 0.0)
+        if rep.enhancible:
+            assert f_after == f_under_damping(c, rep.p_opt)
 
 
 def test_profile_points_are_admissible():
