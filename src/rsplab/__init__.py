@@ -14,7 +14,6 @@ from .channels import (
     QubitChannel,
     amplitude_damping,
     apply_local,
-    apply_single,
     bit_flip,
     bit_phase_flip,
     channel_from_json,
@@ -82,7 +81,6 @@ __all__ = [
     "TwoQubitState",
     "amplitude_damping",
     "apply_local",
-    "apply_single",
     "bell_diagonal",
     "bell_eigenvalues",
     "bit_flip",

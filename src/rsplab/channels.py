@@ -183,25 +183,6 @@ def is_unital(ch: QubitChannel, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(ch.affine.t) <= tol)
 
 
-def apply_single(ch: QubitChannel, rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply the channel to a single-qubit density matrix.
-
-    Raises:
-        ValueError: if ``rho`` is not a valid 2x2 density matrix.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected 2x2 density matrix, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("input not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError("input trace differs from 1")
-    if not linalg.psd_check(rho, tol=tol):
-        raise ValueError("input not PSD")
-    r = np.einsum("mab,ba->m", PAULI_BASIS, rho).real
-    return 0.5 * np.einsum("m,mab->ab", ch.ptm @ r, PAULI_BASIS)
-
-
 def _product_action(m_a, c, m_b) -> np.ndarray:
     """Coefficient matrices M_A C M_B^T, batched over leading axes."""
     return m_a @ c @ np.swapaxes(m_b, -1, -2)

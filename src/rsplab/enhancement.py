@@ -8,10 +8,14 @@ state with correlations (c1, c2, c3) to the state with
 Everything in this module is closed form on top of that: the measures
 along the damping trajectory, the piecewise fidelity in q with branch
 point q1, the enhancibility criterion and optimal parameter, time
-traces with sudden-change and vanish-at-instant event detection, and
-the tetrahedron scan / profile sweeps behind the region plots.
+traces with their sudden-change and vanish-at-instant events, and the
+tetrahedron scan / profile sweeps behind the region plots.
 The enhancement verdict, one batched core behind every entry point, needs
 the criterion to hold and damping at p_opt = 1 - q1 to raise f by > 1e-12.
+The trace events are exact polynomial roots in u = 1/q - 1 = e^gamma_t - 1:
+the fidelity kinks solve E33 = +-c q and the zero touches E33 = 0, both
+quadratics, and E33 = c q at q1 itself; the discord kinks solve the
+quartic E33^2 + p^2 = c^2 q^2.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .linalg import probability
 from .states import (BELL_TOL, PauliDecomposition, TwoQubitState,
                      as_bell_params, bell_eigenvalues, compose)
 
-EVENT_TOL = 1e-9  # bisection width for event gamma_t
 # Size limits, checked before anything is allocated: a scan holds
 # resolution^3 lattice floats, a trace steps rows and a profile a few
 # arrays of points floats.
@@ -55,22 +58,20 @@ def evolve_closed_form(c, p) -> TwoQubitState:
 def _damped(c1, c2, c3, p, q):
     """Measures of the damped state at the damping pair (p, q = 1 - p).
 
-    Takes floats or arrays of one shape for p and q.  Returns ``(f, dg,
-    f_cands, dg_cands, e3)``: the two measures, the three max-branch
-    candidates of each, and the middle correlation element
-    E33 = c3 q^2 + p^2.
+    Takes floats or arrays of one shape for p and q.  Returns ``(f, dg)``;
+    each is half the sum of the squared correlations minus the largest of
+    its three max-branch candidates, (q c1)^2, (q c2)^2 and E33^2 (plus p^2
+    for dg), E33 = c3 q^2 + p^2.
     """
     e1, e2 = q * c1, q * c2
     e1sq = e1 * e1  # not ** 2, which on floats is C pow, an ulp off at times
     e2sq = e2 * e2
     e3 = c3 * q * q + p * p
-    f_cands = (e1sq, e2sq, e3 * e3)
-    dg_cands = (e1sq, e2sq, e3 * e3 + p * p)
     total = e1sq + e2sq + e3 * e3
     top12 = np.maximum(e1sq, e2sq)
-    f = 0.5 * (total - np.maximum(top12, f_cands[2]))
-    dg = 0.5 * (p * p + total - np.maximum(top12, dg_cands[2]))
-    return f, dg, f_cands, dg_cands, e3
+    f = 0.5 * (total - np.maximum(top12, e3 * e3))
+    dg = 0.5 * (p * p + total - np.maximum(top12, e3 * e3 + p * p))
+    return f, dg
 
 
 def f_under_damping(c, p) -> float:
@@ -91,7 +92,9 @@ def q1(c_max: float, c3: float) -> float:
     """Branch point of the piecewise fidelity: smaller root of
     q c = c3 q^2 + (1-q)^2.
 
-    Requires 0 < c_max <= 1 and |c3| <= c_max.
+    It is also the fidelity kink of a trace: gamma_t = -ln q1 is the
+    sudden change where |E33| meets c q.  Requires 0 < c_max <= 1 and
+    |c3| <= c_max.
     """
     c_max, c3 = float(c_max), float(c3)
     if not 0.0 < c_max <= 1.0:
@@ -108,18 +111,18 @@ def f_piecewise(c, q: float) -> float:
     Second branch (0 <= q < q1): q^2 (c1^2 + c2^2) / 2.
     Agrees with f_under_damping(c, 1 - q) on the whole domain.
     """
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
+    c1, c2, c3 = as_bell_params(c).as_tuple()
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q!r}")
-    c_max = max(abs(c1), abs(c2))
-    if abs(c3) > c_max:
+    crit = _criterion(c1, c2, c3)
+    if not crit.domain:
         raise ValueError("piecewise form requires |c3| <= max(|c1|,|c2|); "
                          "use f_under_damping instead")
-    if c_max == 0.0:
+    if not crit.applicable:  # maximally mixed
         return 0.0
-    if q >= q1(c_max, c3):
+    c_max = float(crit.c_max)
+    if q >= crit.q1:
         p = 1.0 - q
         e3 = c3 * q * q + p * p
         return 0.5 * (q * q * (c1 * c1 + c2 * c2 - c_max * c_max) + e3 * e3)
@@ -132,15 +135,14 @@ def f_derivative(c, q: float) -> float:
     Matches a central finite difference of the branch formula within
     1e-6 at step 1e-6.
     """
-    params = as_bell_params(c)
-    c1, c2, c3 = params.as_tuple()
+    c1, c2, c3 = as_bell_params(c).as_tuple()
     q = float(q)
-    c_max = max(abs(c1), abs(c2))
-    if abs(c3) > c_max:
+    crit = _criterion(c1, c2, c3)
+    if not crit.domain:
         raise ValueError("derivative requires |c3| <= max(|c1|,|c2|)")
-    if c_max == 0.0:
+    if not crit.applicable:
         raise ValueError("derivative undefined for the maximally mixed state")
-    q_lo = q1(c_max, c3)
+    c_max, q_lo = float(crit.c_max), float(crit.q1)
     if not q_lo <= q <= 1.0 + 1e-12:
         raise ValueError(f"q = {q!r} outside the branch domain [{q_lo!r}, 1]")
     one_minus_q = 1.0 - q
@@ -148,15 +150,27 @@ def f_derivative(c, q: float) -> float:
     return (c1 * c1 + c2 * c2 - c_max * c_max) * q + e3 * (2.0 * (c3 + 1.0) * q - 2.0)
 
 
-_Criterion = namedtuple("_Criterion", "c_max applicable q1 num den rhs")
+def _line_disc(k, c3):
+    """(disc, sqrt(max(disc, 0))) for E33 = k q, batched.
+
+    With u = 1/q - 1 = e^gamma_t - 1, E33 = c3 q^2 + (1 - q)^2 = k q reads
+    u^2 - k u + c3 - k = 0: roots u = (k +- sqrt(disc))/2, or q = 2/s with
+    s = 2 + k +- sqrt(disc), never dividing by 1 + c3.  k = c gives q1.
+    """
+    disc = k * k + 4.0 * (k - c3)
+    return disc, np.sqrt(np.maximum(disc, 0.0))
+
+
+_Criterion = namedtuple("_Criterion", "c_max domain applicable q1 num den rhs")
 
 
 def _criterion(c1, c2, c3) -> _Criterion:
     """Terms of the enhancibility inequality num > rhs * den.
 
-    Inputs broadcast together.  With c = max(|c1|,|c2|) and
-    s = 2 + c + sqrt(c^2 + 4 (c - c3)), the branch point is q1 = 2/s and
-    rhs = s^2/4; the criterion applies where c > 0 and |c3| <= c.
+    Inputs broadcast together.  With c = max(|c1|,|c2|), the branch point
+    is the near root q1 = 2/s of E33 = c q, s = 2 + c + sqrt(disc)
+    (``_line_disc``), and rhs = s^2/4.  The piecewise domain is |c3| <= c;
+    the criterion applies there where c > 0.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
@@ -164,9 +178,10 @@ def _criterion(c1, c2, c3) -> _Criterion:
     c_max = np.maximum(np.abs(c1), np.abs(c2))
     num = c1 * c1 + c2 * c2
     den = np.minimum(c1 * c1, c2 * c2) + c3 * c3
-    s = 2.0 + c_max + np.sqrt(np.maximum(c_max * c_max + 4.0 * (c_max - c3), 0.0))
-    applicable = (c_max > 0.0) & (np.abs(c3) <= c_max)
-    return _Criterion(c_max, applicable, 2.0 / s, num, den, 0.25 * s * s)
+    s = 2.0 + c_max + _line_disc(c_max, c3)[1]
+    domain = np.abs(c3) <= c_max
+    return _Criterion(c_max, domain, domain & (c_max > 0.0), 2.0 / s, num, den,
+                      0.25 * s * s)
 
 
 def _verdict(c1, c2, c3):
@@ -298,29 +313,35 @@ class EvolutionTrace:
             raise ValueError("gamma_t grid must be strictly increasing")
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = EVENT_TOL) -> float:
-    flo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_PROBE = 1e-6  # half-width of the sign test around a polynomial root
+
+
+def _crossings(coef) -> list:
+    """Roots x > 0 where a polynomial (descending coef) changes sign.
+
+    Exact roots at 0 are divided out first.  The rest are companion-matrix
+    roots (np.roots) polished by one Newton step.  Rounding splits a double
+    root into a complex pair or two real roots about sqrt(eps) apart, with
+    one sign on both sides; so a root counts only if the signs at
+    x -+ _PROBE differ (two simple roots closer than _PROBE cancel like a
+    double root).
+    """
+    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
+    roots = np.roots(coef)
+    x = roots.real[(np.abs(roots.imag) < _PROBE) & (roots.real > 0.0)]
+    x = x[np.polyval(coef, x - _PROBE) * np.polyval(coef, x + _PROBE) < 0.0]
+    x = x - np.polyval(coef, x) / np.polyval(np.polyder(coef), x)
+    return [float(v) for v in x if v > 0.0]
 
 
 def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
-    """Measures on a uniform gamma_t grid with event detection.
+    """Measures on a uniform gamma_t grid, with the exact event times.
 
-    Sudden changes are located where the argmax among the max-branch
-    candidates of either measure switches between adjacent grid points,
-    refined by bisection on the difference of the two competing
-    candidates.  Argmax flips whose candidate gap does not change sign
-    across the interval are ties, not crossings, and are dropped.  Zero
-    touches are roots of the middle correlation element where the
-    fidelity vanishes but the discord stays positive.
+    An event is a root u > 0 in u = e^gamma_t - 1 with gamma_t = log1p(u)
+    below gamma_t_max; steps does not move it.  With c = max(|c1|,|c2|):
+    f kinks solve E33 = +-c q (a discriminant <= 0 is a tangency, a tie),
+    dg kinks are sign changes of (E33^2 + p^2 - c^2 q^2)(1 + u)^4 and zero
+    touches solve E33 = 0 where f <= 1e-10 but d_g >= 1e-6.
     """
     c1, c2, c3 = as_bell_params(c).as_tuple()
     gamma_t_max = float(gamma_t_max)
@@ -332,39 +353,31 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     gts = np.linspace(0.0, gamma_t_max, steps)
     q = np.exp(-gts)
     p = 1.0 - q
-    f_vals, dg_vals, f_cands, dg_cands, e3 = _damped(c1, c2, c3, p, q)
+    f_vals, dg_vals = _damped(c1, c2, c3, p, q)
 
-    events = []
-    for which, cands, slot in (("f", f_cands, 2), ("dg", dg_cands, 3)):
-        idx = np.argmax(np.stack(cands), axis=0)
-        for k in np.nonzero(np.diff(idx) != 0)[0]:
-            old, new = int(idx[k]), int(idx[k + 1])
+    def line_roots(k):  # the u where E33 - k q changes sign
+        disc, r = _line_disc(k, c3)
+        big = 0.5 * (k + math.copysign(r, k))
+        # the roots multiply to c3 - k, so a tie at gamma_t = 0 gives exactly 0
+        return [big, (c3 - k) / big] if disc > 0.0 else []
 
-            def gap(gt, old=old, new=new, slot=slot):
-                q = np.exp(-np.array([gt]))
-                vals = _damped(c1, c2, c3, 1.0 - q, q)[slot]
-                return vals[new][0] - vals[old][0]
+    def times(roots):
+        return [t for t in (math.log1p(u) for u in roots if u > 0.0) if t < gamma_t_max]
 
-            lo, hi = float(gts[k]), float(gts[k + 1])
-            if not gap(lo) * gap(hi) < 0.0:
-                continue
-            root = _bisect(gap, lo, hi)
-            events.append(SuddenChange(gamma_t=root, measure=which))
-    events.sort(key=lambda ev: (ev.gamma_t, ev.measure))
+    c_max = max(abs(c1), abs(c2))
+    # at c = 0 both lines are E33 = 0, and E33^2 - c^2 q^2 keeps its sign
+    kinks = line_roots(c_max) + line_roots(-c_max) if c_max > 0.0 else []
+    cc = c_max * c_max
+    quartic = [2.0, 2.0, 1.0 + 2.0 * c3 - cc, -2.0 * cc, (c3 - c_max) * (c3 + c_max)]
+    events = sorted([SuddenChange(t, "f") for t in times(kinks)]
+                    + [SuddenChange(t, "dg") for t in times(_crossings(quartic))])
 
     touches = []
-    for k in np.nonzero(np.sign(e3[:-1]) * np.sign(e3[1:]) < 0)[0]:
-
-        def e3_at(gt):
-            q = math.exp(-gt)
-            return _damped(c1, c2, c3, 1.0 - q, q)[4]
-
-        root = _bisect(e3_at, float(gts[k]), float(gts[k + 1]))
-        p_root = 1.0 - math.exp(-root)
-        f_root, dg_root = _damped(c1, c2, c3, p_root, 1.0 - p_root)[:2]
+    for t in times(line_roots(0.0)):
+        f_root, dg_root = _damped(c1, c2, c3, -math.expm1(-t), math.exp(-t))
         # only isolated vanishing points with surviving discord qualify
         if f_root <= 1e-10 and dg_root >= 1e-6:
-            touches.append(root)
+            touches.append(t)
 
     return EvolutionTrace(gamma_t=gts, p=p, f_rsp=f_vals, d_g=dg_vals,
                           sudden_changes=tuple(events),

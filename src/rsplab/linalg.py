@@ -123,24 +123,3 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
     if u.shape != (2, 2):
         return False
     return bool(np.abs(u.conj().T @ u - ID2).max() <= tol)
-
-
-def unitary_to_rotation(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Bloch-sphere rotation induced by conjugation with a 2x2 unitary.
-
-    Uses R_ij = Re tr(sigma_i U sigma_j U^dag) / 2, which is insensitive
-    to the global phase of ``u``.
-
-    Raises:
-        ValueError: if ``u`` is not unitary within ``tol``.
-    """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol=tol):
-        raise ValueError("input is not a 2x2 unitary within tolerance")
-    udag = u.conj().T
-    r = np.empty((3, 3))
-    for j, sj in enumerate(PAULIS):
-        conj = u @ sj @ udag
-        for i, si in enumerate(PAULIS):
-            r[i, j] = 0.5 * np.trace(si @ conj).real
-    return r

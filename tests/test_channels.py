@@ -11,7 +11,6 @@ from rsplab.channels import (
     affine_to_kraus,
     amplitude_damping,
     apply_local,
-    apply_single,
     bit_flip,
     bit_phase_flip,
     channel_from_json,
@@ -27,7 +26,7 @@ from rsplab.channels import (
     sample_unital_local,
     unital_builtin,
 )
-from rsplab.linalg import ID2, psd_check, rotation_axis_angle, su2_axis_angle
+from rsplab.linalg import psd_check, rotation_axis_angle, su2_axis_angle
 from rsplab.oracles import random_bell_params
 from rsplab.states import TwoQubitState, bell_diagonal
 
@@ -38,15 +37,9 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 RNG = np.random.default_rng(31415)
 
 
-def bloch(rho2):
-    from rsplab.linalg import PAULIS
-    return np.array([np.trace(rho2 @ s).real for s in PAULIS])
-
-
-def qubit_state(r):
-    from rsplab.linalg import PAULIS
-    rho = 0.5 * (ID2 + sum(r[k] * PAULIS[k] for k in range(3)))
-    return rho
+def act(ch, r):
+    """Bloch vector of the output for input Bloch vector r: ptm @ (1, r)."""
+    return (ch.ptm @ np.concatenate(([1.0], r)))[1:]
 
 
 def random_state(rng):
@@ -107,13 +100,12 @@ def test_amplitude_damping_limits():
     assert np.allclose(amplitude_damping(0.0).affine.tmat, np.eye(3))
     full = amplitude_damping(1.0)
     for r in ([0, 0, 1], [0, 0, -1], [1, 0, 0]):
-        out = apply_single(full, qubit_state(np.array(r, dtype=float)))
-        assert np.allclose(out, np.outer(KET0, KET0.conj()), atol=1e-12)
+        assert np.allclose(act(full, r), [0.0, 0.0, 1.0], atol=1e-12)  # |0><0|
 
 
 def test_amplitude_damping_half_on_excited():
-    out = apply_single(amplitude_damping(0.5), np.outer(KET1, KET1.conj()))
-    assert np.allclose(out, np.diag([0.5, 0.5]), atol=1e-12)
+    # |1><1| -> I/2
+    assert np.allclose(act(amplitude_damping(0.5), [0.0, 0.0, -1.0]), 0.0, atol=1e-12)
 
 
 def test_amplitude_damping_rejects_bad_p():
@@ -142,8 +134,7 @@ def test_bit_phase_flip_tmat():
 def test_unital_builtins_fix_identity():
     for name in ("depolarizing", "bit_flip", "phase_flip", "bit_phase_flip"):
         ch = unital_builtin(name, 0.37)
-        out = apply_single(ch, ID2 / 2)
-        assert np.allclose(out, ID2 / 2, atol=1e-12)
+        assert np.allclose(act(ch, np.zeros(3)), 0.0, atol=1e-12)
         assert is_unital(ch)
 
 
@@ -154,15 +145,11 @@ def test_unital_builtin_rejects_unknown():
 
 def test_discord_raising_fixed_points():
     ch = discord_raising()
-    assert np.allclose(apply_single(ch, np.outer(KET0, KET0.conj())),
-                       np.outer(KET0, KET0.conj()), atol=1e-12)
-    assert np.allclose(apply_single(ch, np.outer(KET1, KET1.conj())),
-                       np.outer(KET_PLUS, KET_PLUS.conj()), atol=1e-12)
+    # |0> -> |0> and |1> -> |+>
+    assert np.allclose(act(ch, [0.0, 0.0, 1.0]), [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(act(ch, [0.0, 0.0, -1.0]), [1.0, 0.0, 0.0], atol=1e-12)
     # nonunital: I/2 -> (|0><0| + |+><+|)/2
-    out = apply_single(ch, ID2 / 2)
-    expected = 0.5 * (np.outer(KET0, KET0.conj())
-                      + np.outer(KET_PLUS, KET_PLUS.conj()))
-    assert np.allclose(out, expected, atol=1e-12)
+    assert np.allclose(act(ch, np.zeros(3)), [0.5, 0.0, 0.5], atol=1e-12)
     assert not is_unital(ch)
 
 
@@ -283,26 +270,20 @@ def test_factorize_negative_determinant():
 
 # --- application ------------------------------------------------------------
 
-def test_apply_single_identity():
-    rho = qubit_state(np.array([0.3, -0.2, 0.4]))
-    assert np.allclose(apply_single(identity_channel(), rho), rho)
+def test_ptm_identity_action():
+    r = np.array([0.3, -0.2, 0.4])
+    assert np.allclose(act(identity_channel(), r), r)
 
 
-def test_apply_single_matches_affine_action():
+def test_ptm_matches_affine_action():
     rng = np.random.default_rng(99)
     for ch in (amplitude_damping(0.45), depolarizing(0.3), phase_flip(0.2),
                discord_raising()):
         for _ in range(20):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 1) / np.linalg.norm(r)
-            out = apply_single(ch, qubit_state(r))
             expected = ch.affine.t + ch.affine.tmat @ r
-            assert np.allclose(bloch(out), expected, atol=1e-10)
-
-
-def test_apply_single_rejects_non_density():
-    with pytest.raises(ValueError):
-        apply_single(identity_channel(), np.eye(2, dtype=complex))
+            assert np.allclose(act(ch, r), expected, atol=1e-10)
 
 
 def test_apply_local_identity_pair():

@@ -324,10 +324,13 @@ PINNED_COMMANDS = {
 }
 
 # sha256 of "<exit code>\n<stdout>" over each command set, recorded before
-# the enhancement entry points shared one batched verdict.
+# the enhancement entry points shared one batched verdict.  "evolve" was
+# re-recorded when the event times became exact roots: its data rows are
+# unchanged, and each of its 35 event lines now prints the root to 12 digits
+# in place of a bisection midpoint.
 PINNED_DIGESTS = {
     "enhance": "34ed85d37dcb75627195eaaeffcb57652b8cb5d240039f12affca39b2c4f6a00",
-    "evolve": "0289a67702998e47aa26bdec107d139990b749cf630ad3a1da140551c1b8939a",
+    "evolve": "d31e720078cc6f6b67ad81feca975eeda39af55eaf26f6ce6402556792503125",
     "profile 2": "4441401570df670cb2fa43137465a8b732b7c86b0e100d8f913cf4330028fe62",
     "profile 201": "b10692137462893cf0f569f15e406c66bf4d637d93575e1e609b2f08a0ad8586",
     "profile 20001": "007cccca7261fb5933a94bb9b60d6acc096774bd316bf47c0f4b5f9e6af4f88b",
@@ -356,6 +359,15 @@ def test_enhance_rounding_level_gain_is_not_enhancible(capsys, c):
     assert not is_enhancible(c)
     with pytest.raises(ValueError):
         p_opt(c)
+
+
+def test_evolve_reports_close_f_kinks(capsys):
+    # |E33| dips below c q for 1.4e-6 in gamma_t around the zero of E33
+    assert main(["evolve", "--c=1e-6,0,-0.5", "--gamma-t-max", "3",
+                 "--steps", "2001"]) == 0
+    events = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("#")]
+    assert events == ["# sudden_change gamma_t=0.534799289632 measure=f",
+                      "# sudden_change gamma_t=0.534800703846 measure=f"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,14 +1,16 @@
+import decimal
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
     EnhanceReport,
+    _crossings,
     dg_under_damping,
     enhance_report,
     enhancibility_margin,
@@ -295,13 +297,14 @@ def test_trace_demo_events():
     assert tr.d_g[0] == pytest.approx(0.125, abs=1e-12)
 
     assert len(tr.zero_touches) == 1
-    assert tr.zero_touches[0] == pytest.approx(ZERO_TOUCH_GT, abs=1e-6)
+    assert tr.zero_touches[0] == pytest.approx(ZERO_TOUCH_GT, abs=1e-13)
     dg_at = dg_under_damping(DEMO_C, 1.0 - math.exp(-tr.zero_touches[0]))
     assert dg_at == pytest.approx(0.0429, abs=1e-4)
 
     f_events = [ev.gamma_t for ev in tr.sudden_changes if ev.measure == "f"]
     assert len(f_events) == 1
-    assert f_events[0] == pytest.approx(SUDDEN_GT, abs=1e-6)
+    assert f_events[0] == pytest.approx(SUDDEN_GT, abs=1e-13)
+    assert f_events[0] == pytest.approx(-math.log(q1(0.5, -0.5)), abs=1e-13)
 
     # fidelity strictly positive on both sides of the touch
     for dt in (1e-3, 1e-2):
@@ -331,8 +334,8 @@ def test_trace_degenerate_families():
     assert not is_enhancible((-1.0, -1.0, -1.0))
     assert not tr.zero_touches
     kinks = {ev.measure: ev.gamma_t for ev in tr.sudden_changes}
-    assert kinks["dg"] == pytest.approx(math.log(2.0), abs=1e-6)
-    assert kinks["f"] == pytest.approx(math.log(3.0), abs=1e-6)
+    assert kinks["dg"] == pytest.approx(math.log(2.0), abs=1e-13)
+    assert kinks["f"] == pytest.approx(math.log(3.0), abs=1e-13)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -354,6 +357,101 @@ def test_trace_csv_round_trip(seed, gamma_t_max, steps):
     assert_12_digits([ev.gamma_t for ev in parsed.sudden_changes],
                      [ev.gamma_t for ev in tr.sudden_changes])
     assert_12_digits(parsed.zero_touches, tr.zero_touches)
+
+
+@pytest.mark.parametrize("c", [DEMO_C, (-1.0, -1.0, -1.0), (1e-6, 0.0, -0.5),
+                               (0.65, 0.0, 0.3), (-0.2, 0.55, -0.1)])
+def test_trace_events_do_not_depend_on_steps(c):
+    traces = [trace_evolution(c, 3.0, steps=n) for n in (2, 101, 2001)]
+    for tr in traces[1:]:
+        assert tr.sudden_changes == traces[0].sudden_changes
+        assert tr.zero_touches == traces[0].zero_touches
+
+
+def _gaps(c, gamma_t):
+    """The f and dg gaps E33^2 - c^2 q^2 and E33^2 + p^2 - c^2 q^2."""
+    c1, c2, c3 = c
+    q = np.exp(-gamma_t)
+    p = 1.0 - q
+    e3 = c3 * q * q + p * p
+    top = max(c1 * c1, c2 * c2) * q * q
+    return {"f": e3 * e3 - top, "dg": e3 * e3 + p * p - top}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma_t_max=st.floats(0.05, 5.0))
+def test_trace_events_match_grid_sign_changes(seed, gamma_t_max):
+    # independent check: on a fine grid, a cell where a gap changes sign
+    # holds an odd number of that measure's events, any other cell an even one
+    c = random_tetra_point(np.random.default_rng(seed))
+    tr = trace_evolution(c, gamma_t_max, steps=2)
+    grid = np.linspace(0.0, gamma_t_max, 4001)
+    for measure, gap in _gaps(c, grid).items():
+        events = [ev.gamma_t for ev in tr.sudden_changes if ev.measure == measure]
+        assert all(0.0 < gt < gamma_t_max for gt in events)
+        per_cell = np.bincount(np.searchsorted(grid, events) - 1, minlength=4000)
+        assert np.array_equal(per_cell % 2 == 1, gap[:-1] * gap[1:] < 0.0)
+
+
+def _decimal_log1p_root(coef, u):
+    """log1p of the root next to u of the ascending polynomial coef, by
+    Newton in 50 digits on the coefficients taken exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        u = decimal.Decimal(u)
+        for _ in range(5):
+            value = sum(a * u**i for i, a in enumerate(coef))
+            slope = sum(i * a * u**(i - 1) for i, a in enumerate(coef) if i)
+            u -= value / slope
+        return float((1 + u).ln())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(c=st.integers(0, 2**32 - 1).map(lambda s: random_tetra_point(np.random.default_rng(s))))
+@example(c=DEMO_C)
+@example(c=(0.3, 0.1, 0.3 + 1e-9))       # kinks at gamma_t ~ 3e-9, next to the
+@example(c=(0.3, 0.1, -0.3 - 1e-9))      # tie |c3| = c at gamma_t = 0
+@example(c=(0.2, -0.3, -0.3 - 1e-12))
+def test_trace_event_times_have_full_precision(c):
+    # (E33^2 - c^2 q^2 + [p^2 for dg]) (1 + u)^4 in u = e^gamma_t - 1
+    c1, c2, c3 = (decimal.Decimal(x) for x in c)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50  # exact for products of two doubles
+        cc = max(c1 * c1, c2 * c2)
+        polys = {"f": [c3 * c3 - cc, -2 * cc, 2 * c3 - cc, 0, 1],
+                 "dg": [c3 * c3 - cc, -2 * cc, 1 + 2 * c3 - cc, 2, 2]}
+    tr = trace_evolution(c, 5.0, steps=2)
+    for ev in tr.sudden_changes:
+        exact = _decimal_log1p_root(polys[ev.measure], math.expm1(ev.gamma_t))
+        assert ev.gamma_t == pytest.approx(exact, rel=1e-14, abs=0.0)
+    for gt in tr.zero_touches:
+        assert gt == pytest.approx(float((1 + (-c3).sqrt()).ln()), rel=1e-14, abs=0.0)
+
+
+def test_trace_tangency_is_no_event():
+    # E33 = c q has the double root q = 8/9 here: f touches its other
+    # branch without crossing it
+    c = (0.25, 0.0, 0.265625)
+    assert np.min(np.abs(_gaps(c, np.linspace(0.0, 3.0, 30001))["f"])) < 1e-8
+    assert not [ev for ev in trace_evolution(c, 3.0).sudden_changes if ev.measure == "f"]
+
+
+@pytest.mark.parametrize("c", [(0.3, 0.1, 0.3), (0.3, 0.1, -0.3), (-1.0, -1.0, -1.0),
+                               (0.5, -0.5, 0.5), (-1.0, 0.0, 0.0)])
+def test_trace_tie_at_start_is_no_event(c):
+    # |c3| = c or E33 = 0 at q = 1: a gap is exactly 0 at gamma_t = 0
+    tr = trace_evolution(c, 3.0)
+    assert all(ev.gamma_t > 1e-3 for ev in tr.sudden_changes)
+
+
+def test_crossings_skip_double_roots():
+    assert _crossings([1.0, -1.0, 0.25]) == []                     # (x - 0.5)^2
+    assert _crossings(np.poly([0.5, 0.5, 0.8])) == pytest.approx([0.8], abs=1e-15)
+    assert sorted(_crossings(np.poly([-0.5, 0.25, 3.0]))) == pytest.approx([0.25, 3.0],
+                                                                          abs=1e-14)
+    # an exact root at 0 is divided out, and one 1e-10 beside it still counts
+    assert sorted(_crossings(np.poly([0.0, 1e-10, 0.5]))) == pytest.approx([1e-10, 0.5],
+                                                                          rel=1e-12)
 
 
 def test_trace_rejects_bad_grid():

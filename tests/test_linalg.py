@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rsplab.linalg import (
-    ID2,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -15,7 +14,6 @@ from rsplab.linalg import (
     psd_check,
     rotation_axis_angle,
     su2_axis_angle,
-    unitary_to_rotation,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -107,8 +105,10 @@ def test_su2_maps_to_rotation():
         u = su2_axis_angle(axis, angle)
         assert is_unitary(u)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
-        assert np.allclose(unitary_to_rotation(u),
-                           rotation_axis_angle(axis, angle), atol=1e-12)
+        # adjoint action R_ij = Re tr(sigma_i U sigma_j U^dag) / 2
+        r = 0.5 * np.einsum("iab,bc,jcd,da->ij", np.stack(PAULIS), u,
+                            np.stack(PAULIS), u.conj().T).real
+        assert np.allclose(r, rotation_axis_angle(axis, angle), atol=1e-12)
 
 
 def _unit_axes(n):
@@ -132,39 +132,6 @@ def test_su2_batch_reports_scalar_message():
         su2_axis_angle(axes[5], 0.3)
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
         su2_axis_angle(axes, np.full(8, 0.3))
-
-
-def test_unitary_to_rotation_identity():
-    assert np.allclose(unitary_to_rotation(ID2), np.eye(3), atol=1e-15)
-
-
-def test_unitary_to_rotation_sigma_z():
-    assert np.allclose(unitary_to_rotation(SIGMA_Z),
-                       np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
-
-
-def test_unitary_to_rotation_quarter_turn():
-    u = su2_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    expected = rotation_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    assert np.allclose(unitary_to_rotation(u), expected, atol=1e-12)
-
-
-def test_unitary_to_rotation_homomorphism():
-    for _ in range(30):
-        a1 = RNG.normal(size=3)
-        a1 /= np.linalg.norm(a1)
-        a2 = RNG.normal(size=3)
-        a2 /= np.linalg.norm(a2)
-        u1 = su2_axis_angle(a1, RNG.uniform(0, 2 * np.pi))
-        u2 = su2_axis_angle(a2, RNG.uniform(0, 2 * np.pi))
-        lhs = unitary_to_rotation(u1 @ u2)
-        rhs = unitary_to_rotation(u1) @ unitary_to_rotation(u2)
-        assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-def test_unitary_to_rotation_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        unitary_to_rotation(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_pauli_constants_are_read_only():

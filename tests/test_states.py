@@ -154,17 +154,18 @@ def test_local_unitary_identity():
 
 def test_local_unitary_transforms_decomposition():
     rng = np.random.default_rng(5)
-    from rsplab.linalg import unitary_to_rotation
+    from rsplab.linalg import rotation_axis_angle
     for _ in range(30):
         s = random_state(rng)
         ax1 = rng.normal(size=3)
         ax1 /= np.linalg.norm(ax1)
         ax2 = rng.normal(size=3)
         ax2 /= np.linalg.norm(ax2)
-        u1 = su2_axis_angle(ax1, rng.uniform(0, 2 * np.pi))
-        u2 = su2_axis_angle(ax2, rng.uniform(0, 2 * np.pi))
-        r1 = unitary_to_rotation(u1)
-        r2 = unitary_to_rotation(u2)
+        th1, th2 = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+        u1 = su2_axis_angle(ax1, th1)
+        u2 = su2_axis_angle(ax2, th2)
+        r1 = rotation_axis_angle(ax1, th1)
+        r2 = rotation_axis_angle(ax2, th2)
         t = local_unitary(s, u1, u2)
         assert np.allclose(t.a, r1 @ s.a, atol=1e-10)
         assert np.allclose(t.b, r2 @ s.b, atol=1e-10)
