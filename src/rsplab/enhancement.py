@@ -348,8 +348,8 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     steps = int(steps)
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
-    if gamma_t_max <= 0.0:
-        raise ValueError("gamma_t_max must be positive")
+    if not 0.0 < gamma_t_max < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"gamma_t_max must be positive and finite, got {gamma_t_max}")
     gts = np.linspace(0.0, gamma_t_max, steps)
     q = np.exp(-gts)
     p = 1.0 - q

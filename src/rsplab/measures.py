@@ -20,6 +20,10 @@ import numpy as np
 from .states import TwoQubitState
 
 ORDER_TOL = 1e-9
+# eigvalsh of a 3x3 symmetric matrix A errs by up to about 3 eps ||A||_2, and
+# ||E^T E||_2 = e_sq[0]; measure_pair reports values at or below
+# NOISE_REL * e_sq[0] (zero in exact arithmetic, e.g. for product states) as 0.
+NOISE_REL = 3.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,10 @@ def gmqd(s: TwoQubitState) -> float:
 def measure_pair(s: TwoQubitState) -> MeasureReport:
     """Both measures plus the intermediate spectra.
 
+    f_rsp and the e_sq entries at or below NOISE_REL * e_sq[0] are taken as
+    eigensolver rounding of an exact zero and reported as 0.0; rsp_fidelity
+    and spectra return them as computed.
+
     Raises:
         RuntimeError: if d_g < f_rsp - 1e-9, which can only come from a
             numerical bug, never from a valid state.
@@ -84,5 +92,8 @@ def measure_pair(s: TwoQubitState) -> MeasureReport:
     f, d = float(f), float(d)
     if d < f - ORDER_TOL:
         raise RuntimeError(f"ordering violated: d_g={d!r} < f_rsp={f!r}")
-    return MeasureReport(f_rsp=f, d_g=d, lambda_max=float(lam_max),
-                         e_sq=tuple(e_sq.tolist()))
+    e_sq = e_sq.tolist()
+    noise = NOISE_REL * e_sq[0]
+    return MeasureReport(f_rsp=f if f > noise else 0.0, d_g=d,
+                         lambda_max=float(lam_max),
+                         e_sq=tuple(v if v > noise else 0.0 for v in e_sq))

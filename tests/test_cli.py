@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import rsplab
-from rsplab.cli import main
+from rsplab import cli
+from rsplab.cli import build_parser, main
 from rsplab.enhancement import (is_enhancible, p_opt, parse_scan_csv,
                                 parse_trace_csv)
 from rsplab.states import bell_diagonal, state_to_json
@@ -283,11 +284,15 @@ def test_verify_monotonicity_output_pinned(capsys, seed, trials):
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    return rc, out.getvalue()
+    """Exit code, stdout and stderr of one main call; an argparse exit
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _tetra_points(seed, n):
@@ -343,7 +348,7 @@ PINNED_DIGESTS = {
 def test_enhancement_output_pinned(name):
     h = hashlib.sha256()
     for argv in PINNED_COMMANDS[name]():
-        rc, out = _run(argv)
+        rc, out, _ = _run(argv)
         h.update(f"{rc}\n{out}".encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
 
@@ -368,6 +373,63 @@ def test_evolve_reports_close_f_kinks(capsys):
     events = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("#")]
     assert events == ["# sudden_change gamma_t=0.534799289632 measure=f",
                       "# sudden_change gamma_t=0.534800703846 measure=f"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evolve_rejects_nonfinite_gamma_t_max(capsys, value):
+    assert main(["evolve", "--c=0.5,0,-0.5", f"--gamma-t-max={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: gamma_t_max must be positive and finite, "
+                            f"got {float(value)}\n")
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, monkeypatch):
+    # each call on the parser main reuses matches the same argv on a fresh one
+    evolve = ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3"]
+    apply = ["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", "identity"]
+    measure = ["measure", "--state", "bell:0.5,0,-0.5"]
+    out_file = tmp_path / "trace.csv"
+    sequence = [
+        evolve + ["--steps", "11"], evolve,
+        apply + ["--channel-b", "amplitude_damping:0.3"], apply,
+        evolve + ["--steps", "11", "--out", str(out_file)], evolve + ["--steps", "11"],
+        ["frobnicate"], measure,
+        ["measure"], measure,
+        ["decompose", "--state", "bell:0,0,0", "--channel", "identity"],
+        ["decompose", "--state", "bell:0.5,0,-0.5"],
+    ]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_run(argv))
+    reused = [_run(argv) for argv in sequence]
+    assert reused == fresh
+
+    assert len(parse_trace_csv(reused[1][1]).gamma_t) == 2001
+    assert json.loads(reused[2][1])["measures"]["f_rsp"] < 0.125
+    assert json.loads(reused[3][1])["measures"]["f_rsp"] == 0.125
+    assert reused[4][1] == "" and reused[5][1] == out_file.read_text()
+    for i in (6, 8, 10):
+        assert reused[i][0] == 2 and reused[i][2].startswith("usage: rsplab")
+    assert reused[7][0] == reused[9][0] == reused[11][0] == 0
+
+
+def test_main_builds_parser_once(monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    argvs = [["measure", "--state", "bell:0.5,0,-0.5"],
+             ["decompose", "--channel", "amplitude_damping:0.36"],
+             ["apply", "--state", "bell:-1,0,0", "--channel-a", "identity"],
+             ["enhance", "--c=-1,0,0"],
+             ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3", "--steps", "2"]]
+    for argv in argvs * 4:
+        assert _run(argv)[0] == 0
+    assert len(built) <= 1
 
 
 def test_unknown_subcommand_exits_2():

@@ -459,6 +459,9 @@ def test_trace_rejects_bad_grid():
         trace_evolution(DEMO_C, 3.0, steps=1)
     with pytest.raises(ValueError):
         trace_evolution(DEMO_C, -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            trace_evolution(DEMO_C, bad)
 
 
 # --- scans ------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsplab.channels import apply_local, discord_raising, identity_channel
 from rsplab.linalg import su2_axis_angle
-from rsplab.measures import gmqd, measure_pair, rsp_fidelity
+from rsplab.measures import gmqd, measure_pair, rsp_fidelity, spectra
 from rsplab.oracles import ginibre_state, random_unitary
 from rsplab.states import (
     PauliDecomposition,
@@ -91,6 +92,47 @@ def test_measure_pair_report():
     rep = measure_pair(cq_gap_state())
     assert rep.f_rsp == pytest.approx(0.0, abs=1e-12)
     assert rep.d_g == pytest.approx(0.25, abs=1e-12)
+
+
+def _qubit_state(rng):
+    g = rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_measure_pair_zeroes_noise_of_product_states():
+    # E = a b^T has rank one, so e_sq[1:] and f_rsp are zero in exact
+    # arithmetic; eigvalsh returns values like 1.5e-17 for 91 of these states
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        s = TwoQubitState(np.kron(_qubit_state(rng), _qubit_state(rng)))
+        rep = measure_pair(s)
+        assert rep.e_sq[1:] == (0.0, 0.0)
+        assert rep.f_rsp == 0.0
+        expected = float(np.sum(s.a ** 2) * np.sum(s.b ** 2))
+        assert rep.e_sq[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("i", [2, 3, 4])
+def test_measure_pair_zeroes_noise_after_discord_raising(i):
+    # E' = t_A b^T + T_A E with T_A of rank one, so e_sq[2] is zero exactly
+    s = ginibre_state(np.random.default_rng([7, i]))
+    out = apply_local(discord_raising(), identity_channel(), s)
+    f, d, e_sq, lam_max = spectra(out.decomposition.c)
+    rep = measure_pair(out)
+    assert rep.e_sq == (float(e_sq[0]), float(e_sq[1]), 0.0)
+    assert (rep.f_rsp, rep.d_g, rep.lambda_max) == (float(f), float(d), float(lam_max))
+
+
+def test_measure_pair_keeps_values_above_noise():
+    # a generic state has no zero in its spectra: every value is unchanged
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        s = ginibre(rng)
+        f, d, e_sq, lam_max = spectra(s.decomposition.c)
+        rep = measure_pair(s)
+        assert rep.e_sq == tuple(e_sq.tolist())
+        assert (rep.f_rsp, rep.d_g, rep.lambda_max) == (float(f), float(d), float(lam_max))
 
 
 def test_ordering_on_random_states():
