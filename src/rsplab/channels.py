@@ -6,9 +6,10 @@ matrix M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2, the real 4x4 matrix
 1 (+) (t, T): M[0] = (1, 0, 0, 0), M[1:, 0] = t and M[1:, 1:] = T.  A
 product channel acts on a state's coefficient matrix C (see ``states``)
 as C -> M_A C M_B^T, which is how ``apply_local`` applies it, whatever
-form the channel was given in.  ``QubitChannel.from_kraus`` derives M
-from Kraus operators, and ``QubitChannel.from_affine`` accepts (t, T)
-directly after verifying complete positivity through the Choi matrix.
+form the channel was given in.  ``QubitChannel.from_kraus`` reads M
+off the Choi matrix of its Kraus operators, and
+``QubitChannel.from_affine`` accepts (t, T) directly after verifying
+complete positivity through the Choi matrix.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form used for the unital-monotonicity analysis.
 The Kraus-to-M core and the construction of random unital channels
@@ -121,10 +122,11 @@ class QubitChannel:
         """Channel of a trace-preserving Kraus set.
 
         Raises:
-            ValueError: if the set is empty, an operator is not 2x2, the
-                set is not trace preserving within ``tol``, the transfer
-                matrix carries imaginary parts above ``tol``, or the Choi
-                matrix has trace other than 2 or is not PSD.
+            ValueError: if the set is empty, an operator is not 2x2 or
+                has a non-finite entry, the set is not trace preserving
+                within ``tol``, the transfer matrix carries imaginary
+                parts above ``tol``, or the Choi matrix has trace other
+                than 2 or is not PSD.
         """
         ops = [np.asarray(k, dtype=complex) for k in ops]
         if not ops:
@@ -149,25 +151,36 @@ class QubitChannel:
         return f"QubitChannel({kind}, |t|={np.linalg.norm(self.affine.t):.4f})"
 
 
+# M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2 with Phi(|i><j|)[a, b] =
+# choi[(i, a), (j, b)] is linear in the Choi matrix: M.flat = choi.flat @ this.
+_CHOI_TO_PTM = 0.5 * np.einsum("nij,mba->iajbmn", PAULI_BASIS, PAULI_BASIS).reshape(16, 16)
+_CHOI_TO_PTM.setflags(write=False)
+
+
 def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
     """Checked transfer and Choi matrices (..., 4, 4) of trace-preserving
     Kraus sets (..., k, 2, 2): the batched core of ``from_kraus``.
+
+    Both the trace-preservation sum and the transfer matrix are read off
+    the Choi matrix, which is computed once.
 
     Raises:
         ValueError: as ``QubitChannel.from_kraus``; a message with a
             number gives the worst value in the stack.
     """
-    complete = np.einsum("...kba,...kbc->...ac", kraus.conj(), kraus)
-    dev = np.abs(complete - ID2).max()
+    if not np.isfinite(kraus).all():
+        raise ValueError("Kraus operator entries must be finite")
+    choi = choi_from_kraus(kraus)
+    # the partial trace over the output, sum_a choi[(i, a), (j, a)], is the
+    # transpose of sum K^dag K; transposing leaves |. - I| as it is
+    blocks = choi.reshape(choi.shape[:-2] + (2, 2, 2, 2))
+    dev = np.abs(blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1] - ID2).max()
     if dev > tol:
         raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
-    # M[mu, nu] = sum_k tr(sigma_mu K sigma_nu K^dag) / 2
-    m = 0.5 * np.einsum("mab,...kbc,ncd,...kad->...mn", PAULI_BASIS, kraus,
-                        PAULI_BASIS, kraus.conj())
+    m = (choi.reshape(choi.shape[:-2] + (16,)) @ _CHOI_TO_PTM).reshape(choi.shape)
     imag = np.abs(m.imag).max()
     if imag > tol:
         raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
-    choi = choi_from_kraus(kraus)
     if abs(choi.trace(axis1=-2, axis2=-1).real - 2.0).max() > tol:
         raise ValueError("Choi trace differs from 2")
     if not linalg.psd_check(choi, tol=CHOI_TOL):
@@ -355,39 +368,64 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
 # ---------------------------------------------------------------------------
 # Random unital channels
 
-def _random_axis_angle(rng: np.random.Generator):
-    """Axis uniform on the sphere, then angle uniform on [0, 2pi).
+# Floats one channel's draw yields: lambda (3), then [v, |v|, r] for U_a and U_b.
+UNITAL_DRAW = 13
 
-    The axis is a normal draw, redrawn while its norm is below 1e-12.
+
+def _axis_angle_draw(rng: np.random.Generator) -> list:
+    """[x, y, z, |v|, r] of a rotation axis v / |v| uniform on the sphere
+    and an angle 2 pi r uniform on [0, 2pi).
+
+    v is a normal draw, redrawn while |v| <= 1e-12.  r is ``rng.random()``,
+    which takes the generator step that ``rng.uniform(0, 2pi)`` takes and
+    gives the same angle, 0 + 2pi r.
     """
     while True:
         v = rng.normal(size=3)
         n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
         if n > 1e-12:
-            return v / n, rng.uniform(0.0, 2.0 * np.pi)
+            x, y, z = v.tolist()
+            return [x, y, z, n, rng.random()]
 
 
-def _draw_unital(rng: np.random.Generator):
-    """Random parameters of one unital channel sqrt(w_k) U_a sigma_k U_b.
+def _axis_angle(draws: np.ndarray):
+    """Unit axes (..., 3) and angles (...) of draws (..., 5) from
+    ``_axis_angle_draw``."""
+    return draws[..., :3] / draws[..., 3:4], 2.0 * np.pi * draws[..., 4]
 
-    Draws the scaling triple lambda uniformly from the CP tetrahedron
-    with corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1) by rejection,
-    then the axis and angle of U_a, then those of U_b.  Returns the
-    Kraus weights w (4), the axes (2, 3) and the angles (2) as sequences.
+
+def _unital_draw(rng: np.random.Generator) -> list:
+    """The UNITAL_DRAW floats of one random unital channel
+    sqrt(w_k) U_a sigma_k U_b, drawn in order.
+
+    The scaling triple lambda is uniform on the CP tetrahedron with
+    corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
+    the cube: each coordinate is -1 + 2r, bit for bit what
+    ``rng.uniform(-1, 1)`` returns.  Then come the axis-angle draws of
+    U_a and of U_b.  ``_unital_params`` forms the parameters.
     """
     while True:
-        l0, l1, l2 = rng.uniform(-1.0, 1.0, size=3).tolist()
-        w = [0.25 * (1.0 + l0 + l1 + l2), 0.25 * (1.0 + l0 - l1 - l2),
-             0.25 * (1.0 - l0 + l1 - l2), 0.25 * (1.0 - l0 - l1 + l2)]
-        if min(w) >= 0.0:
-            break
-    axes, angles = zip(_random_axis_angle(rng), _random_axis_angle(rng))
-    return w, axes, angles
+        r0, r1, r2 = rng.random(3).tolist()
+        l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
+        # 4 w_k as _unital_params sums it; each sum is a multiple of 2^-52,
+        # so scaling it by 1/4 is exact and keeps its sign
+        if (1.0 + l0 + l1 + l2 >= 0.0 and 1.0 + l0 - l1 - l2 >= 0.0
+                and 1.0 - l0 + l1 - l2 >= 0.0 and 1.0 - l0 - l1 + l2 >= 0.0):
+            return [l0, l1, l2, *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
+
+
+def _unital_params(draws: np.ndarray):
+    """Kraus weights w (..., 4), unit axes (..., 2, 3) and angles (..., 2)
+    of channels with draws (..., UNITAL_DRAW) from ``_unital_draw``."""
+    l0, l1, l2 = draws[..., 0], draws[..., 1], draws[..., 2]
+    w = 0.25 * np.stack([1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2,
+                         1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2], axis=-1)
+    return (w, *_axis_angle(draws[..., 3:].reshape(draws.shape[:-1] + (2, 5))))
 
 
 def _unital_channels(w, axes, angles):
     """Kraus sets, transfer and Choi matrices of the unital channels with
-    parameters from ``_draw_unital``, batched over leading axes of
+    parameters from ``_unital_params``, batched over leading axes of
     w (..., 4), axes (..., 2, 3) and angles (..., 2).
 
     Raises:
@@ -410,8 +448,8 @@ def sample_unital_local(seed) -> tuple:
     or a numpy Generator; results are deterministic per seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = [_draw_unital(rng) for _ in range(2)]
-    kraus, ptm, choi = _unital_channels(*(np.array(x) for x in zip(*draws)))
+    draws = np.array([_unital_draw(rng), _unital_draw(rng)])
+    kraus, ptm, choi = _unital_channels(*_unital_params(draws))
     return tuple(QubitChannel(k, m, c) for k, m, c in zip(kraus, ptm, choi))
 
 

@@ -24,6 +24,14 @@ ORDER_TOL = 1e-9
 # ||E^T E||_2 = e_sq[0]; measure_pair reports values at or below
 # NOISE_REL * e_sq[0] (zero in exact arithmetic, e.g. for product states) as 0.
 NOISE_REL = 3.0 * np.finfo(float).eps
+# d_g = (S - lambda_max) / 2 with S = |a|^2 + |E|_F^2 = tr(A), A = a a^T + E E^T,
+# errs by at most DG_NOISE_REL * S: each entry of A sums 4 rounded products
+# of absolute sum at most that entry of |a||a|^T + |E||E|^T, a PSD matrix
+# whose Frobenius norm is at most its trace S, so forming A moves lambda_max by
+# up to 2 eps S; eigvalsh adds 3 eps ||A||_2 <= 3 eps S; summing the 12 rounded
+# squares of S errs by up to 5 eps S.  measure_pair reports d_g at or below it
+# (zero in exact arithmetic, e.g. for product states) as 0.
+DG_NOISE_REL = 10.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,20 +88,24 @@ def gmqd(s: TwoQubitState) -> float:
 def measure_pair(s: TwoQubitState) -> MeasureReport:
     """Both measures plus the intermediate spectra.
 
-    f_rsp and the e_sq entries at or below NOISE_REL * e_sq[0] are taken as
-    eigensolver rounding of an exact zero and reported as 0.0; rsp_fidelity
-    and spectra return them as computed.
+    f_rsp and the e_sq entries at or below NOISE_REL * e_sq[0], and d_g at
+    or below DG_NOISE_REL * (|a|^2 + |E|_F^2), are taken as rounding of an
+    exact zero and reported as 0.0; rsp_fidelity, gmqd and spectra return
+    them as computed.
 
     Raises:
         RuntimeError: if d_g < f_rsp - 1e-9, which can only come from a
             numerical bug, never from a valid state.
     """
-    f, d, e_sq, lam_max = spectra(s.decomposition.c)
+    c = s.decomposition.c
+    f, d, e_sq, lam_max = spectra(c)
     f, d = float(f), float(d)
     if d < f - ORDER_TOL:
         raise RuntimeError(f"ordering violated: d_g={d!r} < f_rsp={f!r}")
     e_sq = e_sq.tolist()
     noise = NOISE_REL * e_sq[0]
-    return MeasureReport(f_rsp=f if f > noise else 0.0, d_g=d,
+    d_noise = DG_NOISE_REL * float((c[1:] * c[1:]).sum())
+    return MeasureReport(f_rsp=f if f > noise else 0.0,
+                         d_g=d if d > d_noise else 0.0,
                          lambda_max=float(lam_max),
                          e_sq=tuple(v if v > noise else 0.0 for v in e_sq))

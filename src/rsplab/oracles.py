@@ -279,9 +279,16 @@ def gmqd_search_oracle(s: TwoQubitState,
 # ---------------------------------------------------------------------------
 # Random inputs
 
+def _ginibre_from_normals(x: np.ndarray) -> np.ndarray:
+    """Matrices G (..., 4, 4) of 32 standard normals (..., 32) each: the
+    real parts of G, row by row, then its imaginary parts."""
+    x = x.reshape(x.shape[:-1] + (2, 4, 4))
+    return x[..., 0, :, :] + 1.0j * x[..., 1, :, :]
+
+
 def _ginibre_matrix(rng: np.random.Generator) -> np.ndarray:
     """G with standard complex normal entries: real parts drawn first."""
-    return rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+    return _ginibre_from_normals(rng.normal(size=32))
 
 
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
@@ -305,7 +312,7 @@ def bounded_purity_state(rng: np.random.Generator,
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Axis uniform on the sphere, angle uniform on [0, 2pi)."""
-    return su2_axis_angle(*channels._random_axis_angle(rng))
+    return su2_axis_angle(*channels._axis_angle(np.array(channels._axis_angle_draw(rng))))
 
 
 def random_bell_params(rng: np.random.Generator) -> BellDiagonalParams:
@@ -326,13 +333,22 @@ def _check_trials(n_trials: int) -> None:
         raise ValueError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
 
 
-def _unital_draws(seed: int, i: int):
-    """Trial i's random inputs, drawn in order from default_rng([seed, i]):
-    the Ginibre matrix, then the parameters of channels A and B."""
+def _unital_draws(seed: int, i: int) -> list:
+    """Trial i's random inputs as 32 + 2 * UNITAL_DRAW floats, drawn in
+    order from default_rng([seed, i]) as ``ginibre_state`` and
+    ``sample_unital_local`` draw them: the 32 normals of the Ginibre
+    matrix, then the draws of channels A and B."""
     rng = np.random.default_rng([seed, i])
-    g = _ginibre_matrix(rng)
-    draws = [channels._draw_unital(rng) for _ in range(2)]
-    return (g, *zip(*draws))
+    return [*rng.normal(size=32).tolist(), *channels._unital_draw(rng),
+            *channels._unital_draw(rng)]
+
+
+def _unital_inputs(draws: np.ndarray):
+    """Ginibre matrices G (n, 4, 4) and channel parameters w (n, 2, 4),
+    axes (n, 2, 2, 3) and angles (n, 2, 2) of trial draws
+    (n, 32 + 2 * UNITAL_DRAW) from ``_unital_draws``."""
+    return (_ginibre_from_normals(draws[:, :32]),
+            *channels._unital_params(draws[:, 32:].reshape(-1, 2, channels.UNITAL_DRAW)))
 
 
 def _unital_rises(g, w, axes, angles) -> np.ndarray:
@@ -347,7 +363,8 @@ def _unital_rises(g, w, axes, angles) -> np.ndarray:
     _, ptm, _ = channels._unital_channels(w, axes, angles)
     c_out = states._checked(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
     after = states._coefficients(states._density(c_out))
-    return measures.spectra(after)[0] - measures.spectra(c)[0]
+    f = measures.spectra(np.stack([c, after]))[0]
+    return f[1] - f[0]
 
 
 def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleReport:
@@ -362,9 +379,9 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
     worst = -np.inf
     worst_idx = -1
     for start in range(0, n_trials, SUITE_CHUNK):
-        draws = [_unital_draws(seed, i)
-                 for i in range(start, min(start + SUITE_CHUNK, n_trials))]
-        rises = _unital_rises(*(np.array(x) for x in zip(*draws)))
+        draws = np.array([_unital_draws(seed, i)
+                          for i in range(start, min(start + SUITE_CHUNK, n_trials))])
+        rises = _unital_rises(*_unital_inputs(draws))
         k = int(np.argmax(rises))
         if rises[k] > worst:
             worst = float(rises[k])

@@ -116,13 +116,16 @@ def _coefficients(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     rho (..., 4, 4): the batched core of ``decompose``.
 
     Raises:
-        ValueError: if any matrix is not Hermitian, not of unit trace or
-            not PSD within ``tol``, or its coefficients are not real; a
-            message with a number gives the worst value of the stack.
+        ValueError: if any entry is not finite, or any matrix is not
+            Hermitian, not of unit trace or not PSD within ``tol``, or its
+            coefficients are not real; a message with a number gives the
+            worst value of the stack.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
     rho_dag = np.swapaxes(rho, -1, -2).conj()
     herm_dev = abs(rho - rho_dag).max()
     if herm_dev > tol:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsplab import channels
 from rsplab.channels import (
     QubitChannel,
     _kraus_ptm,
@@ -26,7 +27,7 @@ from rsplab.channels import (
     sample_unital_local,
     unital_builtin,
 )
-from rsplab.linalg import psd_check, rotation_axis_angle, su2_axis_angle
+from rsplab.linalg import ID2, PAULI_BASIS, psd_check, rotation_axis_angle, su2_axis_angle
 from rsplab.oracles import random_bell_params
 from rsplab.states import TwoQubitState, bell_diagonal
 
@@ -386,6 +387,51 @@ def test_kraus_ptm_batch_reports_scalar_message():
         QubitChannel.from_kraus(sets[2])
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
         _kraus_ptm(sets)
+
+
+def _ptm_loop(kraus):
+    """M[mu, nu] = sum_k tr(sigma_mu K sigma_nu K^dag) / 2, entry by entry."""
+    m = np.zeros((4, 4))
+    for mu in range(4):
+        for nu in range(4):
+            m[mu, nu] = sum(np.trace(PAULI_BASIS[mu] @ k @ PAULI_BASIS[nu] @ k.conj().T).real
+                            for k in kraus) / 2
+    return m
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
+def test_kraus_ptm_matches_trace_loop(n_ops):
+    sets = np.stack([random_kraus(RNG, n_ops) for _ in range(6)])
+    ptm, _ = _kraus_ptm(sets)
+    for k, m in zip(sets, ptm):
+        ref = _ptm_loop(k)
+        assert np.abs(m - ref).max() <= 1e-14
+        assert np.abs(_kraus_ptm(k)[0] - ref).max() <= 1e-14
+
+
+def test_kraus_ptm_rejections_in_order(monkeypatch):
+    good = np.stack(random_kraus(RNG, 2))
+    _kraus_ptm(good)  # passes every check
+    bad = good.copy()
+    bad[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="^Kraus operator entries must be finite$"):
+        _kraus_ptm(bad)
+    with pytest.raises(ValueError, match=re.escape("not trace preserving: max |sum K^dag K - I| = ")):
+        _kraus_ptm(1.1 * good)  # its Choi trace is off too
+    # sum K^dag K = (1 + 0.9e-10) I passes the entrywise test at tol 1e-10,
+    # the Choi trace 2 + 1.8e-10 does not
+    with pytest.raises(ValueError, match="^Choi trace differs from 2$"):
+        _kraus_ptm(np.sqrt(1.0 + 0.9e-10) * ID2[None])
+    # tr(sigma_mu K sigma_nu K^dag) is real and a Choi matrix sum v v^dag is
+    # PSD for every Kraus set, so a faulty read-out and PSD test stand in
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "_CHOI_TO_PTM", channels._CHOI_TO_PTM * (1.0 + 1e-3j))
+        with pytest.raises(ValueError, match="^transfer matrix not real: max imag "):
+            _kraus_ptm(good)
+    with monkeypatch.context() as patch:
+        patch.setattr(channels.linalg, "psd_check", lambda h, tol: False)
+        with pytest.raises(ValueError, match="^Choi matrix not PSD"):
+            _kraus_ptm(good)
 
 
 # --- sampling ---------------------------------------------------------------

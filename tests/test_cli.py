@@ -214,6 +214,28 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag,obj,message", [
+    ("--state", {"type": "dense", "re": np.diag([math.nan, 0.5, 0.25, 0.25]).tolist(),
+                 "im": np.zeros((4, 4)).tolist()}, "density matrix entries must be finite"),
+    ("--channel", {"type": "kraus", "ops": [{"re": [[1.0, 0.0], [0.0, math.inf]]}]},
+     "Kraus operator entries must be finite"),
+    ("--channel-a", {"type": "kraus", "ops": [{"re": [[1.0, 0.0], [0.0, 1.0]],
+                                               "im": [[0.0, math.nan], [0.0, 0.0]]}]},
+     "Kraus operator entries must be finite"),
+])
+def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
+    # NaN passes every tolerance test, so it must be named before any eigensolve
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = {"--state": ["measure", "--state", str(path)],
+            "--channel": ["decompose", "--channel", str(path)],
+            "--channel-a": ["apply", "--state", "bell:0,0,0", "--channel-a", str(path)]}[flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "witness", "--trials", "0"],
     ["verify", "--suite", "protocol", "--trials", "-1"],

@@ -101,14 +101,16 @@ def _qubit_state(rng):
 
 
 def test_measure_pair_zeroes_noise_of_product_states():
-    # E = a b^T has rank one, so e_sq[1:] and f_rsp are zero in exact
-    # arithmetic; eigvalsh returns values like 1.5e-17 for 91 of these states
+    # E = a b^T has rank one, so e_sq[1:], f_rsp and d_g are zero in exact
+    # arithmetic; spectra returns values like 1.5e-17 in e_sq for 91 of these
+    # states and like 1.1e-16 in d_g for 28
     rng = np.random.default_rng(3)
     for _ in range(100):
         s = TwoQubitState(np.kron(_qubit_state(rng), _qubit_state(rng)))
         rep = measure_pair(s)
         assert rep.e_sq[1:] == (0.0, 0.0)
         assert rep.f_rsp == 0.0
+        assert rep.d_g == 0.0
         expected = float(np.sum(s.a ** 2) * np.sum(s.b ** 2))
         assert rep.e_sq[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -133,6 +135,14 @@ def test_measure_pair_keeps_values_above_noise():
         rep = measure_pair(s)
         assert rep.e_sq == tuple(e_sq.tolist())
         assert (rep.f_rsp, rep.d_g, rep.lambda_max) == (float(f), float(d), float(lam_max))
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-7])
+def test_measure_pair_keeps_small_discord(t):
+    # d_g = t^2 / 2 is a quarter of |a|^2 + |E|_F^2 = 2 t^2, far above noise
+    s = bell_diagonal(t, t, 0.0)
+    rep = measure_pair(s)
+    assert rep.d_g == gmqd(s) == pytest.approx(0.5 * t * t, rel=1e-12)
 
 
 def test_ordering_on_random_states():

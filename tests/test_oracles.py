@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rsplab import oracles
+from rsplab import channels, oracles
 from rsplab.channels import apply_local, depolarizing, phase_flip, sample_unital_local
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, rsp_fidelity
@@ -190,6 +190,52 @@ def test_monotonicity_suite_matches_scalar_loop(seed):
         rep = unital_monotonicity_suite(n_trials=n, seed=seed)
         assert rep.estimate == worst
         assert rep.worst_case.endswith(f" at trial {rises.index(worst)}")
+
+
+def _reference_channel(rng):
+    """Weights, unit axes and angles of one unital channel drawn with the
+    generator's uniform and normal calls: uniform(-1, 1, 3) until the point
+    lies in the CP tetrahedron, then per rotation normal(3), redrawn while
+    its norm is at most 1e-12, and uniform(0, 2 pi)."""
+    while True:
+        l0, l1, l2 = rng.uniform(-1.0, 1.0, size=3)
+        w = [0.25 * (1.0 + l0 + l1 + l2), 0.25 * (1.0 + l0 - l1 - l2),
+             0.25 * (1.0 - l0 + l1 - l2), 0.25 * (1.0 - l0 - l1 + l2)]
+        if min(w) >= 0.0:
+            break
+    axes, angles = [], []
+    for _ in range(2):
+        v = rng.normal(size=3)
+        while np.linalg.norm(v) <= 1e-12:
+            v = rng.normal(size=3)
+        axes.append(v / np.linalg.norm(v))
+        angles.append(rng.uniform(0.0, 2.0 * np.pi))
+    return w, axes, angles
+
+
+def _reference_pair(rng):
+    """(w, axes, angles) arrays of two reference channel draws."""
+    return [np.array(x) for x in zip(_reference_channel(rng), _reference_channel(rng))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unital_draws_match_uniform_and_normal_calls(seed):
+    n = SUITE_CHUNK + 1
+    draws = np.array([oracles._unital_draws(seed, i) for i in range(n)])
+    got = oracles._unital_inputs(draws)
+    ref_g, ref_params = [], []
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        re = rng.normal(size=(4, 4))
+        ref_g.append(re + 1.0j * rng.normal(size=(4, 4)))
+        ref_params.append(_reference_pair(rng))
+    assert np.array_equal(got[0], np.array(ref_g))
+    for got_x, ref_x in zip(got[1:], zip(*ref_params)):
+        assert np.array_equal(got_x, np.array(ref_x))
+    # sample_unital_local draws its pair the same way
+    kraus, ptm, _ = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
+    for ch, k, m in zip(sample_unital_local(seed), kraus, ptm):
+        assert np.array_equal(np.stack(ch.kraus), k) and np.array_equal(ch.ptm, m)
 
 
 def test_monotonicity_suite_independent_of_chunking(monkeypatch):
