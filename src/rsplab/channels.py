@@ -19,6 +19,7 @@ work on stacks over leading axes; ``from_kraus`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,7 +55,7 @@ def choi_from_kraus(kraus) -> np.ndarray:
     Batched: Kraus sets (..., k, 2, 2) give Choi matrices (..., 4, 4).
     """
     kraus = np.asarray(kraus, dtype=complex)
-    v = np.swapaxes(kraus, -1, -2).reshape(kraus.shape[:-2] + (4,))
+    v = kraus.swapaxes(-1, -2).reshape(kraus.shape[:-2] + (4,))
     return np.einsum("...kx,...ky->...xy", v, v.conj())
 
 
@@ -102,16 +103,21 @@ class QubitChannel:
     __slots__ = ("kraus", "ptm", "choi")
 
     def __init__(self, kraus, ptm: np.ndarray, choi: np.ndarray):
-        kraus = tuple(np.asarray(k, dtype=complex).copy() for k in kraus)
-        for k in kraus:
-            k.setflags(write=False)
+        # one read-only copy of each; the Kraus operators are views of one stack
+        kraus = np.array(kraus, dtype=complex).reshape(-1, 2, 2)
         ptm = np.array(ptm, dtype=float)
-        ptm.setflags(write=False)
-        choi = np.asarray(choi, dtype=complex).copy()
-        choi.setflags(write=False)
-        self.kraus = kraus
-        self.ptm = ptm
-        self.choi = choi
+        choi = np.array(choi, dtype=complex)
+        for arr in (kraus, ptm, choi):
+            arr.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(kraus))
+        object.__setattr__(self, "ptm", ptm)
+        object.__setattr__(self, "choi", choi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QubitChannel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QubitChannel is immutable: cannot delete {name!r}")
 
     @property
     def affine(self) -> AffineRep:
@@ -134,7 +140,8 @@ class QubitChannel:
         for k in ops:
             if k.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
-        return cls(ops, *_kraus_ptm(np.stack(ops), tol))
+        kraus = np.array(ops)
+        return cls(kraus, *_kraus_ptm(kraus, tol))
 
     @classmethod
     def from_affine(cls, t, tmat, tol: float = CHOI_TOL) -> "QubitChannel":
@@ -198,7 +205,7 @@ def is_unital(ch: QubitChannel, tol: float = DEFAULT_TOL) -> bool:
 
 def _product_action(m_a, c, m_b) -> np.ndarray:
     """Coefficient matrices M_A C M_B^T, batched over leading axes."""
-    return m_a @ c @ np.swapaxes(m_b, -1, -2)
+    return m_a @ c @ m_b.swapaxes(-1, -2)
 
 
 def apply_local(ch_a: QubitChannel, ch_b: QubitChannel,
@@ -214,7 +221,9 @@ def apply_local(ch_a: QubitChannel, ch_b: QubitChannel,
 # ---------------------------------------------------------------------------
 # Built-in channels
 
+@functools.cache
 def identity_channel() -> QubitChannel:
+    """The identity channel: one shared read-only instance per process."""
     return QubitChannel.from_kraus([ID2])
 
 
@@ -272,8 +281,10 @@ def unital_builtin(name: str, p: float) -> QubitChannel:
     return factory(p)
 
 
+@functools.cache
 def discord_raising() -> QubitChannel:
-    """The local map sending |0><0| to itself and |1><1| to |+><+|."""
+    """The local map sending |0><0| to itself and |1><1| to |+><+|: one
+    shared read-only instance per process."""
     k0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     k1 = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
     return QubitChannel.from_kraus([k0, k1])
@@ -320,7 +331,11 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
 
     Proper rotations are enforced by flipping paired columns; when
     det(T) < 0 the leftover axis flip is expressed as sign = -1 together
-    with a pi rotation folded into r2, keeping diag nonnegative.
+    with a pi rotation folded into r2, keeping diag nonnegative.  When the
+    three singular values agree within 1e-12, T = s R is rotation-like and
+    any SVD basis fits it, so the factorization is pinned to r2 = I and
+    r1 = R, the polar factor U V^T of T (or -R with sign = -1 when
+    det R < 0), which a last-bit change of T cannot move wholesale.
     The result is verified to reproduce the channel action on the
     26-direction probe set within 1e-9.
     """
@@ -336,23 +351,27 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
                                     diag=np.sort(diag)[::-1].copy(),
                                     sign=1.0, d=t.copy())
     u, svals, vt = np.linalg.svd(tmat)
-    r1 = u.copy()
-    r2 = vt.T.copy()
-    svals = svals.copy()
-    if np.linalg.det(r1) < 0:
-        r1[:, 2] *= -1.0
-        svals[2] *= -1.0
-    if np.linalg.det(r2) < 0:
-        r2[:, 2] *= -1.0
-        svals[2] *= -1.0
-    if svals[2] < 0:
-        # diag(s1,s2,-s3) = -diag(s1,s2,s3) @ diag(-1,-1,1), fold the
-        # pi rotation about z into r2
-        sign = -1.0
-        svals[2] *= -1.0
-        r2 = r2 @ np.diag([-1.0, -1.0, 1.0])
+    if svals[0] - svals[2] <= 1e-12:
+        rot = u @ vt
+        sign = 1.0 if np.linalg.det(rot) > 0 else -1.0
+        r1, r2 = sign * rot, np.eye(3)
     else:
-        sign = 1.0
+        r1 = u.copy()
+        r2 = vt.T.copy()
+        if np.linalg.det(r1) < 0:
+            r1[:, 2] *= -1.0
+            svals[2] *= -1.0
+        if np.linalg.det(r2) < 0:
+            r2[:, 2] *= -1.0
+            svals[2] *= -1.0
+        if svals[2] < 0:
+            # diag(s1,s2,-s3) = -diag(s1,s2,s3) @ diag(-1,-1,1), fold the
+            # pi rotation about z into r2
+            sign = -1.0
+            svals[2] *= -1.0
+            r2 = r2 @ np.diag([-1.0, -1.0, 1.0])
+        else:
+            sign = 1.0
     fact = ChannelFactorization(r1=r1, r2=r2, diag=svals, sign=sign,
                                 d=r1.T @ t)
     rebuilt = fact.as_affine()

@@ -110,7 +110,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_apply(args) -> int:
     s = _load_state(args.state)
     ch_a = _load_channel(args.channel_a)
-    ch_b = _load_channel(args.channel_b) if args.channel_b else channels.identity_channel()
+    if not args.channel_b:
+        ch_b = channels.identity_channel()
+    elif args.channel_b == args.channel_a:  # e.g. symmetric AD(p) x AD(p)
+        ch_b = ch_a
+    else:
+        ch_b = _load_channel(args.channel_b)
     out = channels.apply_local(ch_a, ch_b, s)
     _print_json({"state": states.state_to_json(out),
                  "measures": dataclasses.asdict(measures.measure_pair(out))})

@@ -55,30 +55,42 @@ def evolve_closed_form(c, p) -> TwoQubitState:
     return compose(PauliDecomposition(a=shift, b=shift, e=e))
 
 
-def _damped(c1, c2, c3, p, q):
-    """Measures of the damped state at the damping pair (p, q = 1 - p).
+def _squares(c1, c2, c3, p, q):
+    """Squared terms of the damped state at the damping pair (p, q = 1 - p).
 
-    Takes floats or arrays of one shape for p and q.  Returns ``(f, dg)``;
-    each is half the sum of the squared correlations minus the largest of
-    its three max-branch candidates, (q c1)^2, (q c2)^2 and E33^2 (plus p^2
-    for dg), E33 = c3 q^2 + p^2.
+    Takes floats or arrays of one shape for p and q.  Returns ``(S, m12,
+    E33^2, p^2)``: S sums the squared correlations (q c1)^2, (q c2)^2 and
+    E33^2, E33 = c3 q^2 + p^2, and m12 is the larger of the first two.
     """
     e1, e2 = q * c1, q * c2
     e1sq = e1 * e1  # not ** 2, which on floats is C pow, an ulp off at times
     e2sq = e2 * e2
-    e3 = c3 * q * q + p * p
-    total = e1sq + e2sq + e3 * e3
-    top12 = np.maximum(e1sq, e2sq)
-    f = 0.5 * (total - np.maximum(top12, e3 * e3))
-    dg = 0.5 * (p * p + total - np.maximum(top12, e3 * e3 + p * p))
-    return f, dg
+    pp = p * p
+    e3 = c3 * q * q + pp
+    e3sq = e3 * e3
+    return e1sq + e2sq + e3sq, np.maximum(e1sq, e2sq), e3sq, pp
+
+
+def _damped_f(c1, c2, c3, p, q):
+    """RSP-fidelity of the damped state (see ``_squares``): half of S minus
+    the largest of its three max-branch candidates (q c1)^2, (q c2)^2, E33^2."""
+    total, top12, e3sq, _ = _squares(c1, c2, c3, p, q)
+    return 0.5 * (total - np.maximum(top12, e3sq))
+
+
+def _damped(c1, c2, c3, p, q):
+    """``(f, dg)`` of the damped state: dg is f with p^2 added to S and to
+    the E33^2 candidate."""
+    total, top12, e3sq, pp = _squares(c1, c2, c3, p, q)
+    return (0.5 * (total - np.maximum(top12, e3sq)),
+            0.5 * (pp + total - np.maximum(top12, e3sq + pp)))
 
 
 def f_under_damping(c, p) -> float:
     """RSP-fidelity along the damping trajectory (closed form)."""
     params = as_bell_params(c)
     p = probability(p, "damping probability")
-    return float(_damped(*params.as_tuple(), p, 1.0 - p)[0])
+    return float(_damped_f(*params.as_tuple(), p, 1.0 - p))
 
 
 def dg_under_damping(c, p) -> float:
@@ -184,20 +196,23 @@ def _criterion(c1, c2, c3) -> _Criterion:
                       0.25 * s * s)
 
 
-def _verdict(c1, c2, c3):
+def _verdict(c1, c2, c3, f_before=None):
     """The enhancement verdict over 1-d arrays of Bell-diagonal points.
 
     Enhancible: the criterion applies, num > rhs * den (true for
     den = 0 < num), and f at p_opt = 1 - q1, evaluated only there, beats
-    f at p = 0 by more than 1e-12.  Returns (criterion, indices of
-    enhancible points, f there).
+    f at p = 0 by more than 1e-12.  f at p = 0 is read from ``f_before``
+    (one value per point) when the caller holds it, else evaluated where
+    the criterion holds.  Returns (criterion, indices of enhancible
+    points, f there).
     """
     crit = _criterion(c1, c2, c3)
     holds = np.flatnonzero(crit.applicable & (crit.num > crit.rhs * crit.den))
     c1, c2, c3 = c1[holds], c2[holds], c3[holds]
     p = 1.0 - crit.q1[holds]
-    f_opt = _damped(c1, c2, c3, p, 1.0 - p)[0]
-    gain = f_opt > _damped(c1, c2, c3, 0.0, 1.0)[0] + 1e-12
+    f_opt = _damped_f(c1, c2, c3, p, 1.0 - p)
+    f0 = _damped_f(c1, c2, c3, 0.0, 1.0) if f_before is None else f_before[holds]
+    gain = f_opt > f0 + 1e-12
     return crit, holds[gain], f_opt[gain]
 
 
@@ -240,16 +255,16 @@ def p_opt(c) -> float:
         raise ValueError("state is not enhancible")
     p = 1.0 - float(crit.q1[0])
     # post-check: local maximality
-    for probe in (max(0.0, p - 1e-4), min(1.0, p + 1e-4)):
-        if f_under_damping(params, probe) > f_opt[0] + 1e-12:
-            raise RuntimeError("p_opt is not a local maximum")
+    probes = np.array([max(0.0, p - 1e-4), min(1.0, p + 1e-4)])
+    if (_damped_f(*params.as_tuple(), probes, 1.0 - probes) > f_opt[0] + 1e-12).any():
+        raise RuntimeError("p_opt is not a local maximum")
     return p
 
 
 def sweep_best_p(c, n: int = 10000):
     """Brute-force check: (p, f) maximizing f over an interior p grid."""
     grid = np.linspace(0.0, 1.0, int(n))[1:-1]
-    vals = _damped(*as_bell_params(c).as_tuple(), grid, 1.0 - grid)[0]
+    vals = _damped_f(*as_bell_params(c).as_tuple(), grid, 1.0 - grid)
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])
 
@@ -279,9 +294,10 @@ class EnhanceReport:
 
 def enhance_report(c) -> EnhanceReport:
     """Full enhancement analysis of one Bell-diagonal state."""
-    params = as_bell_params(c)
-    crit, idx, f_opt = _verdict(*np.reshape(params.as_tuple(), (3, 1)))
-    f_before = float(_damped(*params.as_tuple(), 0.0, 1.0)[0])
+    point = np.reshape(as_bell_params(c).as_tuple(), (3, 1))
+    f0 = _damped_f(*point, 0.0, 1.0)
+    crit, idx, f_opt = _verdict(*point, f0)
+    f_before = float(f0[0])
     q1v = float(crit.q1[0]) if crit.applicable[0] else None
     return EnhanceReport(c=float(crit.c_max[0]), enhancible=bool(idx.size), q1=q1v,
                          p_opt=None if q1v is None else 1.0 - q1v,
@@ -386,11 +402,16 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
 
 def _write_rows(fh, header: str, row_format: str, columns) -> None:
     """Write a CSV header line, then ``row_format % row`` for each row of
-    the zipped array columns, converted to Python values in chunks."""
+    the zipped array columns.  Each chunk of rows is converted to Python
+    values, interleaved row by row, and formatted by one ``%``."""
     fh.write(header + "\n")
+    width = len(columns)
     for start in range(0, len(columns[0]), _CSV_CHUNK):
-        rows = zip(*(col[start:start + _CSV_CHUNK].tolist() for col in columns))
-        fh.writelines(row_format % row for row in rows)
+        chunk = [col[start:start + _CSV_CHUNK].tolist() for col in columns]
+        values = [None] * (width * len(chunk[0]))
+        for j, col in enumerate(chunk):
+            values[j::width] = col
+        fh.write(row_format * len(chunk[0]) % tuple(values))
 
 
 def write_trace_csv(trace: EvolutionTrace, fh) -> None:
@@ -550,8 +571,8 @@ def profile_line(n: int = 201) -> np.ndarray:
     c2 = np.full(n, -1.0)
     if bell_eigenvalues(c1, c2, c1).min() < -BELL_TOL:
         raise ValueError("profile line leaves the Bell tetrahedron")
-    _, idx, f_opt = _verdict(c1, c2, c1)
-    f_before = _damped(c1, c2, c1, 0.0, 1.0)[0]
+    f_before = _damped_f(c1, c2, c1, 0.0, 1.0)
+    _, idx, f_opt = _verdict(c1, c2, c1, f_before)
     rows = np.column_stack([c1, f_before, f_before])
     rows[idx, 2] = f_opt
     return rows

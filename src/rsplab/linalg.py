@@ -34,11 +34,13 @@ def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    hdag = np.swapaxes(h, -1, -2).conj()
+    hdag = h.swapaxes(-1, -2).conj()
     dev = abs(h - hdag).max()
     if dev > tol:
         raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
-    return np.linalg.eigvalsh(0.5 * (h + hdag))
+    herm = h + hdag
+    herm *= 0.5
+    return np.linalg.eigvalsh(herm)
 
 
 def real_array(value, shape: tuple, what: str) -> np.ndarray:

@@ -63,15 +63,18 @@ def spectra(c):
     c = np.asarray(c, dtype=float)
     a = c[..., 1:, 0]
     e = c[..., 1:, 1:]
-    et = np.swapaxes(e, -1, -2)
-    vals = np.linalg.eigvalsh(np.stack(
-        [et @ e, a[..., :, None] * a[..., None, :] + e @ et], axis=-3))
+    et = e.swapaxes(-1, -2)
+    # both Grams, E^T E and a a^T + E E^T, written into one stack
+    grams = np.empty(c.shape[:-2] + (2, 3, 3))
+    np.matmul(et, e, out=grams[..., 0, :, :])
+    outer = np.multiply(a[..., :, None], a[..., None, :], out=grams[..., 1, :, :])
+    outer += e @ et
+    vals = np.linalg.eigvalsh(grams)
     # E^T E is PSD; clip eigensolver noise
     e_sq = np.maximum(vals[..., 0, ::-1], 0.0)
     lam_max = vals[..., 1, -1]
     f = 0.5 * (e_sq[..., 1] + e_sq[..., 2])
-    d = np.maximum(0.5 * (np.sum(a * a, axis=-1) + np.sum(e * e, axis=(-2, -1))
-                          - lam_max), 0.0)
+    d = np.maximum(0.5 * ((a * a).sum(-1) + (e * e).sum((-2, -1)) - lam_max), 0.0)
     return f, d, e_sq, lam_max
 
 

@@ -391,6 +391,13 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
                    passed=worst <= 1e-9)
 
 
+def _pair_measures(before: TwoQubitState, after: TwoQubitState):
+    """((f before, f after), (d_g before, d_g after)) from one spectra call."""
+    f, d, _, _ = measures.spectra(np.array([before.decomposition.c,
+                                            after.decomposition.c]))
+    return f.tolist(), d.tolist()
+
+
 def nonunital_increase_witness() -> OracleReport:
     """The (-1,0,0) demonstration: zero fidelity made positive by
     symmetric amplitude damping at the optimal strength."""
@@ -399,10 +406,7 @@ def nonunital_increase_witness() -> OracleReport:
     p_star = enhancement.p_opt(params)
     ch = channels.amplitude_damping(p_star)
     after = channels.apply_local(ch, ch, before)
-    f0 = measures.rsp_fidelity(before)
-    f1 = measures.rsp_fidelity(after)
-    d0 = measures.gmqd(before)
-    d1 = measures.gmqd(after)
+    (f0, f1), (d0, d1) = _pair_measures(before, after)
     q1v = enhancement.q1(1.0, 0.0)
     reference = 0.5 * q1v * q1v
     ok = (abs(f0) <= 1e-12 and abs(f1 - reference) <= 1e-9 and d1 > d0 + 1e-12)
@@ -425,9 +429,7 @@ def discord_raising_check() -> OracleReport:
     """The intro example: a zero-discord state gains discord 0.25 under a
     local channel while its RSP-fidelity stays zero."""
     before, after = _discord_raising_pair()
-    d0 = measures.gmqd(before)
-    d1 = measures.gmqd(after)
-    f1 = measures.rsp_fidelity(after)
+    (_, f1), (d0, d1) = _pair_measures(before, after)
     ok = (abs(d0) <= 1e-10 and abs(d1 - 0.25) <= 1e-10 and abs(f1) <= 1e-10)
     return _report(d1, 0.25, 1, 0, {},
                    worst_case=f"d_g {d0:.3g} -> {d1:.12g}, f stays {f1:.3g}",

@@ -126,14 +126,16 @@ def _coefficients(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix entries must be finite")
-    rho_dag = np.swapaxes(rho, -1, -2).conj()
+    rho_dag = rho.swapaxes(-1, -2).conj()
     herm_dev = abs(rho - rho_dag).max()
     if herm_dev > tol:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
     tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
     if tr_dev > tol:
         raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-    low = _top(np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0], lowest=True)
+    herm = rho + rho_dag
+    herm *= 0.5
+    low = _top(np.linalg.eigvalsh(herm)[..., 0], lowest=True)
     if not low >= -tol:
         raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
     coeff = np.einsum("...ab,mnba->...mn", rho, _BASIS16)
@@ -182,7 +184,7 @@ class TwoQubitState:
     __slots__ = ("rho", "decomposition")
 
     def __init__(self, rho, tol: float = DEFAULT_TOL):
-        rho = np.asarray(rho, dtype=complex).copy()
+        rho = np.array(rho, dtype=complex)
         self.decomposition = decompose(rho, tol=tol)
         rho.setflags(write=False)
         self.rho = rho
@@ -248,7 +250,7 @@ class BellDiagonalParams:
 
     def __post_init__(self):
         vals = bell_eigenvalues(self.c1, self.c2, self.c3)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("correlation parameters must be finite")
         worst = int(np.argmin(vals))
         if vals[worst] < -BELL_TOL:
@@ -280,9 +282,7 @@ def bell_diagonal(c1, c2=None, c3=None) -> TwoQubitState:
         params = as_bell_params(c1)
     else:
         params = BellDiagonalParams(float(c1), float(c2), float(c3))
-    d = PauliDecomposition(a=np.zeros(3), b=np.zeros(3),
-                           e=np.diag(params.as_tuple()))
-    return compose(d)
+    return compose(PauliDecomposition.from_matrix(np.diag((1.0, *params.as_tuple()))))
 
 
 def local_unitary(s: TwoQubitState, u1, u2, tol: float = 1e-10) -> TwoQubitState:

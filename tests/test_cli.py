@@ -93,6 +93,24 @@ def test_apply_symmetric_damping_hits_optimum(capsys):
     assert payload["measures"]["f_rsp"] == pytest.approx(0.072949, abs=1e-6)
 
 
+def test_apply_builds_one_channel_per_spec(monkeypatch):
+    loaded = []
+    load = cli._load_channel
+
+    def counting_load(arg):
+        loaded.append(arg)
+        return load(arg)
+    monkeypatch.setattr(cli, "_load_channel", counting_load)
+    ad, other = "amplitude_damping:0.3", "amplitude_damping:0.4"
+    for channel_b, expected in ((ad, [ad]), (other, [ad, other]), (None, [ad])):
+        argv = ["apply", "--state", "bell:-1,0,0", "--channel-a", ad]
+        if channel_b:
+            argv += ["--channel-b", channel_b]
+        loaded.clear()
+        assert _run(argv)[0] == 0
+        assert loaded == expected
+
+
 def test_evolve_round_trip(capsys):
     rc = main(["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3.0",
                "--steps", "301"])
@@ -373,6 +391,48 @@ def test_enhancement_output_pinned(name):
         rc, out, _ = _run(argv)
         h.update(f"{rc}\n{out}".encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
+
+
+def _channel_commands():
+    """Seeded witness, apply, decompose and measure commands, bad inputs too."""
+    def state(c):
+        return "--state=bell:" + ",".join(repr(x) for x in c)
+
+    rng = np.random.default_rng(9)
+    cmds = [["verify", "--suite", "witness"]]
+    for c in _tetra_points(11, 30):
+        ad = f"amplitude_damping:{rng.uniform()!r}"
+        cmds.append(["apply", state(c), "--channel-a", ad, "--channel-b", ad])
+    cmds += [["apply", state(c), "--channel-a", "discord_raising"]
+             for c in _tetra_points(12, 30)]
+    cmds += [["apply", state(c), "--channel-a", f"depolarizing:{rng.uniform()!r}"]
+             for c in _tetra_points(13, 30)]
+    for c in _tetra_points(14, 10):
+        cmds.append(["apply", state(c), "--channel-a", "identity", "--channel-b", "discord_raising"])
+        cmds.append(["apply", state(c), "--channel-a", "discord_raising", "--channel-b", "identity"])
+    cmds += [["decompose", "--channel", "discord_raising"],
+             ["decompose", "--channel", "identity"],
+             ["apply", "--state", "bell:0,0,0", "--channel-a", "identity:0.3"],
+             ["apply", "--state", "bell:0,0,0", "--channel-a", "discord_raising:1"],
+             ["apply", "--state", "bell:0,0,0", "--channel-a", "amplitude_damping:1.5",
+              "--channel-b", "amplitude_damping:1.5"],
+             ["apply", "--state", "bell:0,0,0", "--channel-a", "identity",
+              "--channel-b", "discord_raising:0"]]
+    cmds += [["measure", state(c)] for c in _NAMED_C[:-1] + _tetra_points(15, 150)]
+    return cmds
+
+
+# sha256 of "<exit code>\n<stdout>\n<stderr>" over _channel_commands(),
+# recorded before the constant channels were built once per process.
+CHANNEL_COMMANDS_DIGEST = "d0651b95c5f3cdf893d365f924c120f009da429834c004eef4d21835fe9dc82f"
+
+
+def test_channel_output_pinned():
+    h = hashlib.sha256()
+    for argv in _channel_commands():
+        rc, out, err = _run(argv)
+        h.update(f"{rc}\n{out}\n{err}".encode())
+    assert h.hexdigest() == CHANNEL_COMMANDS_DIGEST
 
 
 @pytest.mark.parametrize("c", [(1e-6, 0.0, 0.0),

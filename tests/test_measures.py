@@ -169,14 +169,14 @@ def test_local_unitary_invariance():
         assert abs(gmqd(t) - gmqd(s)) <= 1e-9
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fidelity_at_most_discord(seed):
     s = ginibre_state(np.random.default_rng(seed))
     assert rsp_fidelity(s) <= gmqd(s) + 1e-12
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_measures_invariant_under_local_unitaries(seed):
     rng = np.random.default_rng(seed)
