@@ -169,7 +169,12 @@ def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
     Kraus sets (..., k, 2, 2): the batched core of ``from_kraus``.
 
     Both the trace-preservation sum and the transfer matrix are read off
-    the Choi matrix, which is computed once.
+    the Choi matrix, which is computed once.  In exact arithmetic a finite
+    Kraus set always passes two of the checks: tr(sigma_mu K sigma_nu K^dag)
+    is real, and the Choi matrix sum v v^dag is PSD.  Both stay, the PSD
+    check at one 4x4 eigensolve per channel: they check this code's own
+    Choi and transfer-matrix maps and their rounding, which a wrong
+    constant or index order would break without any other check failing.
 
     Raises:
         ValueError: as ``QubitChannel.from_kraus``; a message with a
@@ -387,13 +392,14 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
 # ---------------------------------------------------------------------------
 # Random unital channels
 
-# Floats one channel's draw yields: lambda (3), then [v, |v|, r] for U_a and U_b.
-UNITAL_DRAW = 13
+# Floats one channel's draw yields: the Kraus weights w (4), then the unit
+# axis (3) and angle of U_a and of U_b.
+UNITAL_DRAW = 12
 
 
 def _axis_angle_draw(rng: np.random.Generator) -> list:
-    """[x, y, z, |v|, r] of a rotation axis v / |v| uniform on the sphere
-    and an angle 2 pi r uniform on [0, 2pi).
+    """[x, y, z, angle] of a rotation: the axis v / |v| uniform on the
+    sphere and the angle 2 pi r uniform on [0, 2pi).
 
     v is a normal draw, redrawn while |v| <= 1e-12.  r is ``rng.random()``,
     which takes the generator step that ``rng.uniform(0, 2pi)`` takes and
@@ -404,13 +410,7 @@ def _axis_angle_draw(rng: np.random.Generator) -> list:
         n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
         if n > 1e-12:
             x, y, z = v.tolist()
-            return [x, y, z, n, rng.random()]
-
-
-def _axis_angle(draws: np.ndarray):
-    """Unit axes (..., 3) and angles (...) of draws (..., 5) from
-    ``_axis_angle_draw``."""
-    return draws[..., :3] / draws[..., 3:4], 2.0 * np.pi * draws[..., 4]
+            return [x / n, y / n, z / n, 2.0 * math.pi * rng.random()]
 
 
 def _unital_draw(rng: np.random.Generator) -> list:
@@ -420,26 +420,45 @@ def _unital_draw(rng: np.random.Generator) -> list:
     The scaling triple lambda is uniform on the CP tetrahedron with
     corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
     the cube: each coordinate is -1 + 2r, bit for bit what
-    ``rng.uniform(-1, 1)`` returns.  Then come the axis-angle draws of
-    U_a and of U_b.  ``_unital_params`` forms the parameters.
+    ``rng.uniform(-1, 1)`` returns.  Its Kraus weights are w_k = s_k / 4
+    with s_k = 1 +- l0 +- l1 +- l2; each s_k is a multiple of 2^-52, so
+    scaling it by 1/4 is exact and keeps its sign.  Then come the
+    axis-angle draws of U_a and of U_b.
     """
     while True:
         r0, r1, r2 = rng.random(3).tolist()
         l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
-        # 4 w_k as _unital_params sums it; each sum is a multiple of 2^-52,
-        # so scaling it by 1/4 is exact and keeps its sign
-        if (1.0 + l0 + l1 + l2 >= 0.0 and 1.0 + l0 - l1 - l2 >= 0.0
-                and 1.0 - l0 + l1 - l2 >= 0.0 and 1.0 - l0 - l1 + l2 >= 0.0):
-            return [l0, l1, l2, *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
+        s0, s1 = 1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2
+        s2, s3 = 1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2
+        if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0:
+            return [0.25 * s0, 0.25 * s1, 0.25 * s2, 0.25 * s3,
+                    *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
 
 
 def _unital_params(draws: np.ndarray):
     """Kraus weights w (..., 4), unit axes (..., 2, 3) and angles (..., 2)
     of channels with draws (..., UNITAL_DRAW) from ``_unital_draw``."""
-    l0, l1, l2 = draws[..., 0], draws[..., 1], draws[..., 2]
-    w = 0.25 * np.stack([1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2,
-                         1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2], axis=-1)
-    return (w, *_axis_angle(draws[..., 3:].reshape(draws.shape[:-1] + (2, 5))))
+    rotations = draws[..., 4:].reshape(draws.shape[:-1] + (2, 4))
+    return draws[..., :4], rotations[..., :3], rotations[..., 3]
+
+
+# sigma_k has one nonzero entry per column m, s_k(m) in row p_k(m), so column
+# m of U sigma_k is s_k(m) times column p_k(m) of U: a signed permutation
+_PAULI_ROWS = np.abs(PAULI_BASIS).argmax(axis=-2)
+_PAULI_SIGNS = np.take_along_axis(PAULI_BASIS, _PAULI_ROWS[:, None, :], axis=-2)[:, 0, :]
+_PAULI_ROWS.setflags(write=False)
+_PAULI_SIGNS.setflags(write=False)
+
+
+def _pauli_sandwiches(u_a, u_b) -> np.ndarray:
+    """The products U_a sigma_k U_b (..., 4, 2, 2), k = 0..3, of matrices
+    u_a, u_b (..., 2, 2), by elementwise products: numpy runs a stacked
+    complex matmul as one BLAS call per matrix.  Within an ulp or two of
+    ``u_a @ PAULI_BASIS @ u_b``, whose BLAS kernel rounds differently."""
+    cols = u_a.swapaxes(-1, -2)[..., _PAULI_ROWS, :]   # [k, m, i] = U_a[i, p_k(m)]
+    rows = _PAULI_SIGNS[:, :, None] * u_b[..., None, :, :]  # [k, m, j] = s_k(m) U_b[m, j]
+    return (cols[..., 0, :, None] * rows[..., 0, None, :]
+            + cols[..., 1, :, None] * rows[..., 1, None, :])
 
 
 def _unital_channels(w, axes, angles):
@@ -451,10 +470,10 @@ def _unital_channels(w, axes, angles):
         RuntimeError: if a channel's translation exceeds 1e-12.
     """
     u = linalg.su2_axis_angle(axes, angles)
-    kraus = np.sqrt(w)[..., None, None] * (u[..., None, 0, :, :] @ PAULI_BASIS
-                                           @ u[..., None, 1, :, :])
+    kraus = np.sqrt(w)[..., None, None] * _pauli_sandwiches(u[..., 0, :, :], u[..., 1, :, :])
     ptm, choi = _kraus_ptm(kraus)
-    if (np.linalg.norm(ptm[..., 1:, 0], axis=-1) > 1e-12).any():
+    t = ptm[..., 1:, 0]
+    if (np.sqrt((t * t).sum(-1)) > 1e-12).any():  # |t| as np.linalg.norm rounds it
         raise RuntimeError("sampled channel failed unitality")
     return kraus, ptm, choi
 

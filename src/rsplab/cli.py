@@ -163,6 +163,8 @@ def _cmd_profile(args) -> int:
 def _verify_reports(suite: str, seed: int, trials):
     if trials is not None and trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
     def n(default):
         return default if trials is None else trials

@@ -20,7 +20,11 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_mu for mu = 0..3 with sigma_0 = I: the Pauli-transfer basis
 PAULI_BASIS = np.stack([ID2, *PAULIS])
 
-for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS):
+# rows I, -i sigma_x, -i sigma_y, -i sigma_z, flattened: exp(-i a/2 n.sigma)
+# is (cos(a/2), sin(a/2) n) times these, each entry a single term
+_SU2_BASIS = np.concatenate([ID2[None], -1.0j * PAULI_BASIS[1:]]).reshape(4, 4)
+
+for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS, _SU2_BASIS):
     _m.setflags(write=False)
 
 
@@ -115,9 +119,11 @@ def su2_axis_angle(axis, angle) -> np.ndarray:
     dev = abs(norm - 1.0)
     if (dev > 1e-12).any():
         raise ValueError(f"axis must be unit length, |axis| = {norm.flat[dev.argmax()]!r}")
-    n_dot_sigma = (axis @ PAULI_BASIS[1:].reshape(3, 4)).reshape(axis.shape[:-1] + (2, 2))
-    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
-    return np.cos(half) * ID2 - 1.0j * np.sin(half) * n_dot_sigma
+    half = np.asarray(angle, dtype=float) / 2.0
+    parts = np.concatenate([np.cos(half)[..., None], np.sin(half)[..., None] * axis], axis=-1)
+    # one matmul of all rows: a stacked one would make one BLAS call per matrix
+    u = parts.reshape(-1, 4) @ _SU2_BASIS
+    return u.reshape(parts.shape[:-1] + (2, 2))
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:

@@ -70,12 +70,25 @@ def spectra(c):
     outer = np.multiply(a[..., :, None], a[..., None, :], out=grams[..., 1, :, :])
     outer += e @ et
     vals = np.linalg.eigvalsh(grams)
-    # E^T E is PSD; clip eigensolver noise
-    e_sq = np.maximum(vals[..., 0, ::-1], 0.0)
+    f, e_sq = _fidelity(vals[..., 0, :])
     lam_max = vals[..., 1, -1]
-    f = 0.5 * (e_sq[..., 1] + e_sq[..., 2])
     d = np.maximum(0.5 * ((a * a).sum(-1) + (e * e).sum((-2, -1)) - lam_max), 0.0)
     return f, d, e_sq, lam_max
+
+
+def _fidelity(vals):
+    """f_rsp and e_sq (descending) from the ascending eigenvalues (..., 3)
+    of E^T E."""
+    # E^T E is PSD; clip eigensolver noise
+    e_sq = np.maximum(vals[..., ::-1], 0.0)
+    return 0.5 * (e_sq[..., 1] + e_sq[..., 2]), e_sq
+
+
+def _rsp_fidelities(c) -> np.ndarray:
+    """The f_rsp of ``spectra(c)`` alone, bit for bit, from E^T E only:
+    half the eigensolves, for the unital suite."""
+    e = np.asarray(c, dtype=float)[..., 1:, 1:]
+    return _fidelity(np.linalg.eigvalsh(e.swapaxes(-1, -2) @ e))[0]
 
 
 def rsp_fidelity(s: TwoQubitState) -> float:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, enhancement, measures, states
+from . import channels, enhancement, measures, seeding, states
 from .linalg import ID2, PAULIS, su2_axis_angle
 from .states import BellDiagonalParams, TwoQubitState, bell_diagonal, bell_eigenvalues
 
@@ -294,7 +294,7 @@ def _ginibre_matrix(rng: np.random.Generator) -> np.ndarray:
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
     """Density matrices G G^dag / tr of matrices g (..., 4, 4)."""
     rho = g @ np.swapaxes(g, -1, -2).conj()
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def ginibre_state(rng: np.random.Generator) -> TwoQubitState:
@@ -312,7 +312,8 @@ def bounded_purity_state(rng: np.random.Generator,
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Axis uniform on the sphere, angle uniform on [0, 2pi)."""
-    return su2_axis_angle(*channels._axis_angle(np.array(channels._axis_angle_draw(rng))))
+    x, y, z, angle = channels._axis_angle_draw(rng)
+    return su2_axis_angle([x, y, z], angle)
 
 
 def random_bell_params(rng: np.random.Generator) -> BellDiagonalParams:
@@ -333,12 +334,11 @@ def _check_trials(n_trials: int) -> None:
         raise ValueError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
 
 
-def _unital_draws(seed: int, i: int) -> list:
-    """Trial i's random inputs as 32 + 2 * UNITAL_DRAW floats, drawn in
-    order from default_rng([seed, i]) as ``ginibre_state`` and
+def _unital_draws(rng: np.random.Generator) -> list:
+    """A trial's random inputs as 32 + 2 * UNITAL_DRAW floats, drawn in
+    order from its generator as ``ginibre_state`` and
     ``sample_unital_local`` draw them: the 32 normals of the Ginibre
     matrix, then the draws of channels A and B."""
-    rng = np.random.default_rng([seed, i])
     return [*rng.normal(size=32).tolist(), *channels._unital_draw(rng),
             *channels._unital_draw(rng)]
 
@@ -363,7 +363,7 @@ def _unital_rises(g, w, axes, angles) -> np.ndarray:
     _, ptm, _ = channels._unital_channels(w, axes, angles)
     c_out = states._checked(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
     after = states._coefficients(states._density(c_out))
-    f = measures.spectra(np.stack([c, after]))[0]
+    f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]
 
 
@@ -372,15 +372,16 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
     must never increase beyond 1e-9.  A failed report means an
     implementation bug somewhere, never a valid outcome.
 
-    Each trial draws its inputs from its own generator; the trials are
-    then evaluated as stacked arrays, ``SUITE_CHUNK`` at a time.
+    Trial i draws its inputs from the stream of ``default_rng([seed, i])``;
+    the trials are then evaluated as stacked arrays, ``SUITE_CHUNK`` at a
+    time.
     """
     _check_trials(n_trials)
     worst = -np.inf
     worst_idx = -1
     for start in range(0, n_trials, SUITE_CHUNK):
-        draws = np.array([_unital_draws(seed, i)
-                          for i in range(start, min(start + SUITE_CHUNK, n_trials))])
+        stop = min(start + SUITE_CHUNK, n_trials)
+        draws = np.array([_unital_draws(r) for r in seeding.trial_rngs(seed, start, stop)])
         rises = _unital_rises(*_unital_inputs(draws))
         k = int(np.argmax(rises))
         if rises[k] > worst:

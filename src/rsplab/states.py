@@ -28,6 +28,35 @@ from .linalg import DEFAULT_TOL, PAULI_BASIS
 _BASIS16 = np.einsum("mij,nkl->mnikjl", PAULI_BASIS, PAULI_BASIS).reshape(4, 4, 4, 4)
 _BASIS16.setflags(write=False)
 
+
+def _four_term_map(m: np.ndarray):
+    """Rows (16, 4) and entries (16, 4) of the four nonzero entries in each
+    column of a 16x16 matrix m, rows ascending."""
+    rows = np.array([np.flatnonzero(col) for col in m.T])
+    vals = np.take_along_axis(m, rows.T, axis=0).T
+    for arr in (rows, vals):
+        arr.setflags(write=False)
+    return rows, vals
+
+
+# C.flat = rho.flat @ M with M[(a, b), (mu, nu)] = (sigma_mu o sigma_nu)[b, a],
+# and rho.flat = C.flat @ M' / 4 with M'[(mu, nu), (a, b)] = (sigma_mu o sigma_nu)[a, b].
+# Every column of either has four nonzero entries, each in {+-1, +-i}.
+_TO_COEFF = _four_term_map(_BASIS16.transpose(3, 2, 0, 1).reshape(16, 16))
+_TO_DENSITY = _four_term_map(_BASIS16.reshape(16, 16))
+
+
+def _apply_four_term(x: np.ndarray, four_term) -> np.ndarray:
+    """x.flat @ M for matrices x (..., 4, 4) and a map M from
+    ``_four_term_map``: each entry sums its four terms in ascending row
+    order, as an einsum over M does, so one matrix and a stack round alike
+    (a matmul would not: numpy takes a BLAS gemv for one row, whose sums
+    are grouped differently).  Elementwise, so a stack costs few calls."""
+    rows, vals = four_term
+    t = x.reshape(x.shape[:-2] + (16,))[..., rows] * vals
+    return (((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]).reshape(x.shape)
+
+
 BELL_TOL = 1e-12
 
 
@@ -138,7 +167,7 @@ def _coefficients(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     low = _top(np.linalg.eigvalsh(herm)[..., 0], lowest=True)
     if not low >= -tol:
         raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
-    coeff = np.einsum("...ab,mnba->...mn", rho, _BASIS16)
+    coeff = _apply_four_term(rho, _TO_COEFF)
     imag = abs(coeff.imag).max()
     if imag > tol:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
@@ -151,7 +180,7 @@ def _density(c: np.ndarray) -> np.ndarray:
     """Density matrices (1/4) sum C[mu, nu] sigma_mu o sigma_nu of
     coefficient matrices (..., 4, 4), unchecked: the batched core of
     ``compose``."""
-    return 0.25 * np.einsum("...mn,mnab->...ab", c, _BASIS16)
+    return 0.25 * _apply_four_term(c, _TO_DENSITY)
 
 
 def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:

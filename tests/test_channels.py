@@ -554,3 +554,16 @@ def test_channel_json_errors():
         channel_from_json({"type": "squeeze", "p": 0.1})
     with pytest.raises(ValueError):
         channel_from_json({"type": "bit_flip", "p": 1.7})
+
+
+@pytest.mark.parametrize("n", [1, 20, 1025])
+def test_pauli_sandwiches_match_matmul(n):
+    # the elementwise Kraus stack against the stacked matmul it replaces
+    rng = np.random.default_rng(n)
+    axes = rng.normal(size=(n, 2, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    u = su2_axis_angle(axes, rng.uniform(0.0, 2.0 * np.pi, size=(n, 2)))
+    got = channels._pauli_sandwiches(u[:, 0], u[:, 1])
+    expected = u[:, None, 0] @ PAULI_BASIS @ u[:, None, 1]
+    assert got.shape == (n, 4, 2, 2)
+    assert np.abs(got - expected).max() <= 1e-15

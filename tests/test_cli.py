@@ -254,6 +254,15 @@ def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("suite", ["protocol", "gmqd", "monotonicity", "witness", "all"])
+def test_verify_rejects_negative_seed(capsys, suite):
+    # the flag is named, and no suite runs
+    assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "witness", "--trials", "0"],
     ["verify", "--suite", "protocol", "--trials", "-1"],

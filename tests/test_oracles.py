@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rsplab import channels, oracles
+from rsplab import channels, oracles, seeding
 from rsplab.channels import apply_local, depolarizing, phase_flip, sample_unital_local
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, rsp_fidelity
@@ -221,7 +221,8 @@ def _reference_pair(rng):
 @pytest.mark.parametrize("seed", range(5))
 def test_unital_draws_match_uniform_and_normal_calls(seed):
     n = SUITE_CHUNK + 1
-    draws = np.array([oracles._unital_draws(seed, i) for i in range(n)])
+    draws = np.array([oracles._unital_draws(np.random.default_rng([seed, i]))
+                      for i in range(n)])
     got = oracles._unital_inputs(draws)
     ref_g, ref_params = [], []
     for i in range(n):
@@ -236,6 +237,61 @@ def test_unital_draws_match_uniform_and_normal_calls(seed):
     kraus, ptm, _ = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
     for ch, k, m in zip(sample_unital_local(seed), kraus, ptm):
         assert np.array_equal(np.stack(ch.kraus), k) and np.array_equal(ch.ptm, m)
+
+
+# seeds of 1 to 5 and of 16 uint32 words, a numpy integer among them
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 2**128 + 7, 2**511 + 2**32 - 1,
+         np.uint64(2**63 + 9)]
+TRIALS = [0, 1, SUITE_CHUNK - 1, SUITE_CHUNK, MAX_TRIALS - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_trial_states_match_default_rng(seed):
+    for start in TRIALS:
+        stop = min(start + 3, MAX_TRIALS)
+        states = [r.bit_generator.state for r in seeding.trial_rngs(seed, start, stop)]
+        assert states == [np.random.default_rng([seed, i]).bit_generator.state
+                          for i in range(start, stop)]
+
+
+def test_seed_words_reject_out_of_range():
+    # a negative seed, or an index past one uint32 word, has no one-word port
+    for args in [(-1, 0, 3), (0, 2**32 - 1, 2**32 + 1), (0, 5, 4)]:
+        with pytest.raises(ValueError, match="need seed >= 0"):
+            seeding.seed_words(*args)
+
+
+@pytest.mark.parametrize("name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B",
+                                  "_MIX_MULT_L", "_MIX_MULT_R", "_PCG64_MULT"])
+def test_trial_states_guard_catches_wrong_constant(monkeypatch, name):
+    monkeypatch.setattr(seeding, name, getattr(seeding, name) ^ 2)
+    with pytest.raises(RuntimeError, match="seeding differs"):
+        list(seeding.trial_rngs(7, 5, 9))
+    with pytest.raises(RuntimeError, match="seeding differs"):
+        unital_monotonicity_suite(n_trials=3, seed=7)
+
+
+def test_suites_reject_negative_seed():
+    # numpy's own seed check, before any trial is evaluated
+    for suite in (unital_monotonicity_suite, gmqd_suite):
+        with pytest.raises(ValueError, match="non-negative"):
+            suite(n_trials=2, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        protocol_suite(n_trials=2, seed=-1, cfg=FAST)
+
+
+def test_suite_channels_match_sample_unital_local():
+    # trial i's channels in the suite are those sample_unital_local builds
+    # from the same generator after the state's draws
+    seed, n = 6, 25
+    draws = np.array([oracles._unital_draws(r) for r in seeding.trial_rngs(seed, 0, n)])
+    kraus, ptm, choi = channels._unital_channels(*oracles._unital_inputs(draws)[1:])
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        ginibre_state(rng)
+        for k, ch in enumerate(sample_unital_local(rng)):
+            assert np.array_equal(np.stack(ch.kraus), kraus[i, k])
+            assert np.array_equal(ch.ptm, ptm[i, k]) and np.array_equal(ch.choi, choi[i, k])
 
 
 def test_monotonicity_suite_independent_of_chunking(monkeypatch):
