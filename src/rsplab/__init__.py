@@ -4,7 +4,7 @@ qubit channels for two-qubit states.
 The package computes the payoff of the canonical remote-state-preparation
 protocol and the Hilbert-Schmidt geometric discord from a state's Pauli
 decomposition, models single-qubit channels as Pauli transfer matrices
-(built from Kraus or affine form, checked through the Choi matrix),
+(built from Kraus operators, checked through the Choi matrix),
 and analyzes when symmetric local amplitude damping raises the fidelity of
 a Bell-diagonal state that starts at zero.
 """
@@ -21,18 +21,14 @@ from .channels import (
     discord_raising,
     factorize,
     identity_channel,
-    is_unital,
     phase_flip,
     sample_unital_local,
-    unital_builtin,
 )
 from .enhancement import (
     EnhanceReport,
     EvolutionTrace,
     enhance_report,
     evolve_closed_form,
-    f_derivative,
-    f_piecewise,
     f_under_damping,
     dg_under_damping,
     is_enhancible,
@@ -94,15 +90,12 @@ __all__ = [
     "discord_raising_check",
     "enhance_report",
     "evolve_closed_form",
-    "f_derivative",
-    "f_piecewise",
     "f_under_damping",
     "factorize",
     "gmqd",
     "gmqd_search_oracle",
     "identity_channel",
     "is_enhancible",
-    "is_unital",
     "local_unitary",
     "measure_pair",
     "nonunital_increase_witness",
@@ -118,7 +111,6 @@ __all__ = [
     "state_to_json",
     "sweep_best_p",
     "trace_evolution",
-    "unital_builtin",
     "unital_monotonicity_suite",
     "__version__",
 ]

@@ -5,11 +5,10 @@ affine map r -> t + T r.  Every channel is stored as its Pauli transfer
 matrix M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2, the real 4x4 matrix
 1 (+) (t, T): M[0] = (1, 0, 0, 0), M[1:, 0] = t and M[1:, 1:] = T.  A
 product channel acts on a state's coefficient matrix C (see ``states``)
-as C -> M_A C M_B^T, which is how ``apply_local`` applies it, whatever
-form the channel was given in.  ``QubitChannel.from_kraus`` reads M
-off the Choi matrix of its Kraus operators, and
-``QubitChannel.from_affine`` accepts (t, T) directly after verifying
-complete positivity through the Choi matrix.
+as C -> M_A C M_B^T, which is how ``apply_local`` applies it.
+Channels are built from Kraus operators: ``QubitChannel.from_kraus``
+reads M off their Choi matrix, and an affine pair (t, T) enters through
+``affine_to_kraus``, which checks complete positivity on its Choi matrix.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form used for the unital-monotonicity analysis.
 The Kraus-to-M core and the construction of random unital channels
@@ -40,15 +39,6 @@ class AffineRep(NamedTuple):
     tmat: np.ndarray
 
 
-def _ptm(t, tmat) -> np.ndarray:
-    """The Pauli transfer matrix 1 (+) (t, T) of an affine map."""
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0
-    m[1:, 0] = np.asarray(t, dtype=float).reshape(3)
-    m[1:, 1:] = np.asarray(tmat, dtype=float).reshape(3, 3)
-    return m
-
-
 def choi_from_kraus(kraus) -> np.ndarray:
     """Choi matrix sum_ij |i><j| o Phi(|i><j|) from Kraus operators.
 
@@ -66,8 +56,12 @@ def choi_from_affine(t, tmat) -> np.ndarray:
     X = x0 I + x.sigma maps to x0 I + (x0 t + T x).sigma.  Useful for
     testing maps that are not channels (the Choi then fails PSD).
     """
+    m = np.zeros((4, 4))  # the Pauli transfer matrix 1 (+) (t, T)
+    m[0, 0] = 1.0
+    m[1:, 0] = np.asarray(t, dtype=float).reshape(3)
+    m[1:, 1:] = np.asarray(tmat, dtype=float).reshape(3, 3)
     # Phi(|i><j|) = sum_{mu nu} M[mu, nu] sigma_nu[j, i] sigma_mu / 2
-    choi = np.einsum("mn,nji,mab->iajb", _ptm(t, tmat), PAULI_BASIS, PAULI_BASIS)
+    choi = np.einsum("mn,nji,mab->iajb", m, PAULI_BASIS, PAULI_BASIS)
     return 0.5 * choi.reshape(4, 4)
 
 
@@ -93,8 +87,7 @@ class QubitChannel:
     """Immutable qubit channel stored as its Pauli transfer matrix.
 
     Attributes:
-        kraus: tuple of 2x2 operators the channel was built from, empty
-            for affine-defined channels.
+        kraus: tuple of 2x2 operators the channel was built from.
         ptm: the real 4x4 Pauli transfer matrix 1 (+) (t, T).
         affine: the AffineRep (t, T), read-only views into ``ptm``.
         choi: 4x4 Choi matrix, PSD within 1e-9, trace 2.
@@ -143,19 +136,9 @@ class QubitChannel:
         kraus = np.array(ops)
         return cls(kraus, *_kraus_ptm(kraus, tol))
 
-    @classmethod
-    def from_affine(cls, t, tmat, tol: float = CHOI_TOL) -> "QubitChannel":
-        m = _ptm(t, tmat)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("affine representation entries must be finite")
-        choi = choi_from_affine(t, tmat)
-        if not linalg.psd_check(choi, tol=tol):
-            raise ValueError("Choi matrix not PSD: map is not completely positive")
-        return cls((), m, choi)
-
     def __repr__(self):
-        kind = f"{len(self.kraus)} Kraus ops" if self.kraus else "affine-only"
-        return f"QubitChannel({kind}, |t|={np.linalg.norm(self.affine.t):.4f})"
+        t_norm = np.linalg.norm(self.affine.t)
+        return f"QubitChannel({len(self.kraus)} Kraus ops, |t|={t_norm:.4f})"
 
 
 # M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2 with Phi(|i><j|)[a, b] =
@@ -201,11 +184,6 @@ def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
     ptm = m.real.copy()
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
     return ptm, choi
-
-
-def is_unital(ch: QubitChannel, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the channel fixes the maximally mixed state, |t| <= tol."""
-    return bool(np.linalg.norm(ch.affine.t) <= tol)
 
 
 def _product_action(m_a, c, m_b) -> np.ndarray:
@@ -268,22 +246,15 @@ def bit_phase_flip(p: float) -> QubitChannel:
     return QubitChannel.from_kraus([np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_Y])
 
 
-_UNITAL_FACTORIES = {
+# The builtin channels with a probability parameter, by the name that the
+# JSON "type" field and the command line give them.
+_FACTORIES = {
+    "amplitude_damping": amplitude_damping,
     "depolarizing": depolarizing,
     "bit_flip": bit_flip,
     "phase_flip": phase_flip,
     "bit_phase_flip": bit_phase_flip,
 }
-
-
-def unital_builtin(name: str, p: float) -> QubitChannel:
-    """One of the named unital channels at error probability p."""
-    try:
-        factory = _UNITAL_FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown unital channel {name!r}; "
-                         f"choices: {sorted(_UNITAL_FACTORIES)}") from None
-    return factory(p)
 
 
 @functools.cache
@@ -507,10 +478,8 @@ def channel_from_json(obj) -> QubitChannel:
     kind = obj["type"]
     if not isinstance(kind, str):
         raise ValueError(f"channel type must be a string, got {kind!r}")
-    if kind == "amplitude_damping":
-        return amplitude_damping(_json_prob(obj))
-    if kind in _UNITAL_FACTORIES:
-        return unital_builtin(kind, _json_prob(obj))
+    if kind in _FACTORIES:
+        return _FACTORIES[kind](_json_prob(obj))
     if kind == "discord_raising":
         return discord_raising()
     if kind == "kraus":

@@ -7,7 +7,8 @@ discord_raising, identity) or JSON files.  Triples with a leading minus
 need the equals form, e.g. --c=-1,0,0.  Numbers print with 12
 significant digits so identical invocations give byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure or a verification that
+could not be completed, 2 input error.
 """
 
 import argparse
@@ -19,10 +20,6 @@ import sys
 import numpy as np
 
 from . import channels, enhancement, measures, oracles, states
-
-_INLINE_CHANNELS = ("amplitude_damping", "depolarizing", "bit_flip",
-                    "phase_flip", "bit_phase_flip", "discord_raising",
-                    "identity")
 
 
 def _round12(x):
@@ -61,18 +58,14 @@ def _load_state(arg: str) -> states.TwoQubitState:
 
 def _load_channel(arg: str) -> channels.QubitChannel:
     name, _, prob = arg.partition(":")
-    if name in _INLINE_CHANNELS:
-        if name == "identity":
-            if prob:
-                raise ValueError("identity takes no parameter")
-            return channels.identity_channel()
-        if name == "discord_raising":
-            if prob:
-                raise ValueError("discord_raising takes no parameter")
-            return channels.discord_raising()
+    if name in ("identity", "discord_raising"):
+        if prob:
+            raise ValueError(f"{name} takes no parameter")
+        return channels.identity_channel() if name == "identity" else channels.discord_raising()
+    if name in channels._FACTORIES:
         if not prob:
             raise ValueError(f"channel {name} needs a parameter, e.g. {name}:0.3")
-        return channels.channel_from_json({"type": name, "p": float(prob)})
+        return channels._FACTORIES[name](float(prob))
     with open(arg) as fh:
         return channels.channel_from_json(json.load(fh))
 
@@ -184,7 +177,12 @@ def _verify_reports(suite: str, seed: int, trials):
 
 
 def _cmd_verify(args) -> int:
-    reports = _verify_reports(args.suite, args.seed, args.trials)
+    try:
+        reports = _verify_reports(args.suite, args.seed, args.trials)
+    except RuntimeError as exc:
+        # an internal check failed, so no verdict exists; the input was valid
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _print_json({label: rep.as_dict() for label, rep in reports})
     failed = [(label, rep) for label, rep in reports if not rep.passed]
     for label, rep in failed:

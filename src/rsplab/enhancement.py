@@ -6,8 +6,8 @@ state with correlations (c1, c2, c3) to the state with
     a = b = (0, 0, p),   E = diag(q c1, q c2, c3 q^2 + p^2),   q = 1 - p.
 
 Everything in this module is closed form on top of that: the measures
-along the damping trajectory, the piecewise fidelity in q with branch
-point q1, the enhancibility criterion and optimal parameter, time
+along the damping trajectory, the branch point q1 of the fidelity in q,
+the enhancibility criterion and optimal parameter, time
 traces with their sudden-change and vanish-at-instant events, and the
 tetrahedron scan / profile sweeps behind the region plots.
 The enhancement verdict, one batched core behind every entry point, needs
@@ -114,52 +114,6 @@ def q1(c_max: float, c3: float) -> float:
     if abs(c3) > c_max:
         raise ValueError(f"|c3| = {abs(c3)!r} exceeds c_max = {c_max!r}")
     return float(_criterion(c_max, 0.0, c3).q1)
-
-
-def f_piecewise(c, q: float) -> float:
-    """Piecewise fidelity in q = 1 - p, valid when |c3| <= max(|c1|,|c2|).
-
-    First branch (q1 <= q <= 1): [q^2 (c1^2+c2^2-c^2) + (c3 q^2 + p^2)^2] / 2.
-    Second branch (0 <= q < q1): q^2 (c1^2 + c2^2) / 2.
-    Agrees with f_under_damping(c, 1 - q) on the whole domain.
-    """
-    c1, c2, c3 = as_bell_params(c).as_tuple()
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0,1], got {q!r}")
-    crit = _criterion(c1, c2, c3)
-    if not crit.domain:
-        raise ValueError("piecewise form requires |c3| <= max(|c1|,|c2|); "
-                         "use f_under_damping instead")
-    if not crit.applicable:  # maximally mixed
-        return 0.0
-    c_max = float(crit.c_max)
-    if q >= crit.q1:
-        p = 1.0 - q
-        e3 = c3 * q * q + p * p
-        return 0.5 * (q * q * (c1 * c1 + c2 * c2 - c_max * c_max) + e3 * e3)
-    return 0.5 * q * q * (c1 * c1 + c2 * c2)
-
-
-def f_derivative(c, q: float) -> float:
-    """d/dq of the first piecewise branch, valid for q in [q1, 1].
-
-    Matches a central finite difference of the branch formula within
-    1e-6 at step 1e-6.
-    """
-    c1, c2, c3 = as_bell_params(c).as_tuple()
-    q = float(q)
-    crit = _criterion(c1, c2, c3)
-    if not crit.domain:
-        raise ValueError("derivative requires |c3| <= max(|c1|,|c2|)")
-    if not crit.applicable:
-        raise ValueError("derivative undefined for the maximally mixed state")
-    c_max, q_lo = float(crit.c_max), float(crit.q1)
-    if not q_lo <= q <= 1.0 + 1e-12:
-        raise ValueError(f"q = {q!r} outside the branch domain [{q_lo!r}, 1]")
-    one_minus_q = 1.0 - q
-    e3 = one_minus_q * one_minus_q + c3 * q * q
-    return (c1 * c1 + c2 * c2 - c_max * c_max) * q + e3 * (2.0 * (c3 + 1.0) * q - 2.0)
 
 
 def _line_disc(k, c3):

@@ -28,25 +28,6 @@ for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS, _SU2_BASIS):
     _m.setflags(write=False)
 
 
-def herm_eigvals(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of complex Hermitian matrices (..., n, n), sorted ascending.
-
-    Raises:
-        ValueError: if ``h`` is not square or not Hermitian within ``tol``
-            (the message gives the largest deviation in the stack).
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    hdag = h.swapaxes(-1, -2).conj()
-    dev = abs(h - hdag).max()
-    if dev > tol:
-        raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
-    herm = h + hdag
-    herm *= 0.5
-    return np.linalg.eigvalsh(herm)
-
-
 def real_array(value, shape: tuple, what: str) -> np.ndarray:
     """Real array of the given shape parsed from nested lists of numbers.
 
@@ -81,9 +62,19 @@ def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     eigenvalues >= -tol.
 
     Raises:
-        ValueError: if ``h`` is not Hermitian within ``tol``.
+        ValueError: if ``h`` is not square or not Hermitian within ``tol``
+            (the message gives the largest deviation in the stack).
     """
-    return bool((herm_eigvals(h, tol=tol)[..., 0] >= -tol).all())
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    hdag = h.swapaxes(-1, -2).conj()
+    dev = abs(h - hdag).max()
+    if dev > tol:
+        raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
+    herm = h + hdag
+    herm *= 0.5
+    return bool((np.linalg.eigvalsh(herm)[..., 0] >= -tol).all())
 
 
 def rotation_axis_angle(axis, angle: float) -> np.ndarray:

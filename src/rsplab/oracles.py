@@ -286,11 +286,6 @@ def _ginibre_from_normals(x: np.ndarray) -> np.ndarray:
     return x[..., 0, :, :] + 1.0j * x[..., 1, :, :]
 
 
-def _ginibre_matrix(rng: np.random.Generator) -> np.ndarray:
-    """G with standard complex normal entries: real parts drawn first."""
-    return _ginibre_from_normals(rng.normal(size=32))
-
-
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
     """Density matrices G G^dag / tr of matrices g (..., 4, 4)."""
     rho = g @ np.swapaxes(g, -1, -2).conj()
@@ -298,8 +293,9 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
 
 
 def ginibre_state(rng: np.random.Generator) -> TwoQubitState:
-    """Random density matrix G G^dag / tr, G standard complex normal."""
-    return TwoQubitState(_normalized_gram(_ginibre_matrix(rng)))
+    """Random density matrix G G^dag / tr, G standard complex normal with
+    its real parts drawn first."""
+    return TwoQubitState(_normalized_gram(_ginibre_from_normals(rng.normal(size=32))))
 
 
 def bounded_purity_state(rng: np.random.Generator,

@@ -127,5 +127,6 @@ def trial_rngs(seed, start: int, stop: int):
             state["state"] = pcg
             bitgen.state = state
         elif pcg != state["state"]:
-            raise RuntimeError(f"seeding differs from numpy's default_rng([seed, {start}])")
+            raise RuntimeError(f"seeding differs from default_rng([seed, {start}]) "
+                               f"of numpy {np.__version__}")
         yield rng

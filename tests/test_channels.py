@@ -24,11 +24,9 @@ from rsplab.channels import (
     discord_raising,
     factorize,
     identity_channel,
-    is_unital,
     phase_flip,
     probe_directions,
     sample_unital_local,
-    unital_builtin,
 )
 from rsplab.linalg import ID2, PAULI_BASIS, psd_check, rotation_axis_angle, su2_axis_angle
 from rsplab.oracles import random_bell_params, random_unitary
@@ -135,16 +133,13 @@ def test_bit_phase_flip_tmat():
     assert np.allclose(aff.tmat, np.diag([0.4, 1.0, 0.4]), atol=1e-12)
 
 
-def test_unital_builtins_fix_identity():
-    for name in ("depolarizing", "bit_flip", "phase_flip", "bit_phase_flip"):
-        ch = unital_builtin(name, 0.37)
+def test_unital_channels_fix_identity():
+    # a channel is unital, fixing I/2, exactly when its translation t is 0
+    for ch in (depolarizing(0.37), bit_flip(0.37), phase_flip(0.37),
+               bit_phase_flip(0.37), identity_channel()):
         assert np.allclose(act(ch, np.zeros(3)), 0.0, atol=1e-12)
-        assert is_unital(ch)
-
-
-def test_unital_builtin_rejects_unknown():
-    with pytest.raises(ValueError):
-        unital_builtin("amplitude_damping", 0.3)
+        assert np.linalg.norm(ch.affine.t) <= 1e-10
+    assert np.linalg.norm(amplitude_damping(0.3).affine.t) > 1e-10
 
 
 def test_discord_raising_fixed_points():
@@ -154,13 +149,6 @@ def test_discord_raising_fixed_points():
     assert np.allclose(act(ch, [0.0, 0.0, -1.0]), [1.0, 0.0, 0.0], atol=1e-12)
     # nonunital: I/2 -> (|0><0| + |+><+|)/2
     assert np.allclose(act(ch, np.zeros(3)), [0.5, 0.0, 0.5], atol=1e-12)
-    assert not is_unital(ch)
-
-
-def test_is_unital():
-    assert is_unital(phase_flip(0.3))
-    assert is_unital(identity_channel())
-    assert not is_unital(amplitude_damping(0.3))
 
 
 # --- Choi -------------------------------------------------------------------
@@ -185,8 +173,8 @@ def test_choi_detects_non_cp():
 
 
 def test_channel_constructor_rejects_non_cp_affine():
-    with pytest.raises(ValueError):
-        QubitChannel.from_affine(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="^map is not completely positive: Choi eigenvalue "):
+        affine_to_kraus(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
 
 
 def test_affine_to_kraus_round_trip():
@@ -201,7 +189,7 @@ def test_affine_to_kraus_round_trip():
 # --- factorization ----------------------------------------------------------
 
 def test_factorize_diagonal_descending():
-    ch = QubitChannel.from_affine(np.zeros(3), np.diag([0.8, 0.5, 0.4]))
+    ch = QubitChannel.from_kraus(affine_to_kraus(np.zeros(3), np.diag([0.8, 0.5, 0.4])))
     fac = factorize(ch)
     assert np.allclose(fac.r1, np.eye(3), atol=1e-9)
     assert np.allclose(fac.r2, np.eye(3), atol=1e-9)
@@ -211,10 +199,13 @@ def test_factorize_diagonal_descending():
 
 
 def test_factorize_diagonal_up_to_rounding():
-    a = 0.265423
-    diag = np.array([a, a + 5e-17, a])
-    assert diag[1] > diag[0]
-    fac = factorize(QubitChannel.from_affine(np.zeros(3), np.diag(diag)))
+    # T = 0.05 I in exact arithmetic; rounding leaves its diagonal unsorted
+    ch = depolarizing(0.95)
+    tmat = ch.affine.tmat
+    diag = np.diag(tmat).copy()
+    assert np.abs(tmat - np.diag(diag)).max() <= 1e-12
+    assert diag[2] > diag[1]
+    fac = factorize(ch)
     assert np.array_equal(fac.r1, np.eye(3))
     assert np.array_equal(fac.r2, np.eye(3))
     assert fac.diag[0] >= fac.diag[1] >= fac.diag[2]
@@ -264,12 +255,13 @@ def test_factorize_round_trip_random_channels():
 
 
 def test_factorize_negative_determinant():
-    # T with det < 0 forces the global sign branch
-    ch = QubitChannel.from_affine(np.zeros(3), np.diag([0.5, -0.5, -0.5]))
-    fac = factorize(ch)
+    # T with det < 0 and distinct singular values forces the global sign branch
+    tmat = np.diag([0.4, 0.2, -0.1])
+    fac = factorize(QubitChannel.from_kraus(affine_to_kraus(np.zeros(3), tmat)))
+    assert fac.sign == -1.0
+    assert np.allclose(fac.diag, [0.4, 0.2, 0.1], atol=1e-12)
     rebuilt = fac.r1 @ (fac.sign * np.diag(fac.diag)) @ fac.r2.T
-    assert np.allclose(rebuilt, np.diag([0.5, -0.5, -0.5]), atol=1e-10)
-    assert fac.diag.min() >= 0.0
+    assert np.allclose(rebuilt, tmat, atol=1e-12)
 
 
 def test_constant_channels_are_shared():
@@ -278,7 +270,8 @@ def test_constant_channels_are_shared():
 
 
 @pytest.mark.parametrize("ch", [identity_channel(), discord_raising(), amplitude_damping(0.3),
-                                QubitChannel.from_affine(np.zeros(3), 0.5 * np.eye(3))])
+                                QubitChannel.from_kraus(affine_to_kraus(np.zeros(3),
+                                                                        0.5 * np.eye(3)))])
 def test_channel_is_immutable(ch):
     for name in ("kraus", "ptm", "choi"):
         with pytest.raises(AttributeError):
@@ -396,14 +389,15 @@ def test_apply_local_accepts_affine_channel():
     rot = rotation_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0, 0.7)
     t = rot @ np.array([0.0, 0.0, 0.3])
     tmat = rot @ np.diag([np.sqrt(0.7), np.sqrt(0.7), 0.7])
-    affine_only = QubitChannel.from_affine(t, tmat)
-    assert affine_only.kraus == ()
     ops = affine_to_kraus(t, tmat)
+    ch_a = QubitChannel.from_kraus(ops)
+    assert np.abs(ch_a.affine.t - t).max() <= 1e-12
+    assert np.abs(ch_a.affine.tmat - tmat).max() <= 1e-12
     ch_b = phase_flip(0.2)
     rng = np.random.default_rng(61)
     for _ in range(20):
         s = random_state(rng)
-        out = apply_local(affine_only, ch_b, s)
+        out = apply_local(ch_a, ch_b, s)
         assert np.abs(out.rho - kraus_sandwich(ops, ch_b.kraus, s.rho)).max() <= 1e-12
 
 
@@ -534,7 +528,7 @@ def test_channel_json_builtins():
     ch = channel_from_json({"type": "depolarizing", "p": 0.5})
     assert np.allclose(ch.affine.tmat, 0.5 * np.eye(3), atol=1e-12)
     ch = channel_from_json({"type": "discord_raising"})
-    assert not is_unital(ch)
+    assert np.allclose(ch.affine.t, [0.5, 0.0, 0.5], atol=1e-12)
 
 
 def test_channel_json_kraus_round_trip():

@@ -537,14 +537,29 @@ def test_byte_identical_repeat(capsys):
     assert first == second
 
 
-def test_module_entry_point():
-    # run the package under test, whether or not it is installed
+def _run_python(*args):
+    """Run the interpreter on the package under test, whether or not it is
+    installed."""
     src = os.path.dirname(os.path.dirname(rsplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rsplab", "measure", "--state",
-         "bell:0.5,0,-0.5"],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def test_module_entry_point():
+    proc = _run_python("-m", "rsplab", "measure", "--state", "bell:0.5,0,-0.5")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f_rsp"] == 0.125
+
+
+def test_verify_seeding_guard_exits_1():
+    # a seeding constant that no longer matches numpy's stops the suite:
+    # one error line, no report and no traceback
+    script = ("import sys; from rsplab import cli, seeding; seeding._MULT_A ^= 2; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    proc = _run_python("-c", script, "verify", "--suite", "monotonicity", "--trials", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: seeding differs from default_rng([seed, 0]) "
+                           f"of numpy {np.__version__}\n")

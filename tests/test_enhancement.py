@@ -18,8 +18,6 @@ from rsplab.enhancement import (
     enhance_report,
     enhancibility_margin,
     evolve_closed_form,
-    f_derivative,
-    f_piecewise,
     f_under_damping,
     is_enhancible,
     p_opt,
@@ -113,45 +111,16 @@ def test_full_damping_kills_both_measures():
         assert dg_under_damping(c, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
-# --- piecewise form and derivative ------------------------------------------
+# --- branch point q1 --------------------------------------------------------
 
-def test_f_piecewise_no_damping():
-    c1, c2, c3 = 0.6, -0.3, 0.2
-    c = max(abs(c1), abs(c2))
-    expected = 0.5 * (c1 * c1 + c2 * c2 + c3 * c3 - c * c)
-    assert f_piecewise((c1, c2, c3), 1.0) == pytest.approx(expected,
-                                                           abs=1e-15)
-
-
-def test_f_piecewise_matches_direct_form():
-    rng = np.random.default_rng(10)
-    n = 0
-    while n < 300:
-        c = random_tetra_point(rng)
-        if abs(c[2]) > max(abs(c[0]), abs(c[1])):
-            continue
-        n += 1
-        q = float(rng.uniform(0.0, 1.0))
-        assert f_piecewise(c, q) == pytest.approx(
-            f_under_damping(c, 1.0 - q), abs=1e-12)
-
-
-def test_f_piecewise_continuous_at_q1():
+def test_f_under_damping_at_q1():
+    # the fidelity switches branch at p = 1 - q1 without a jump
     for c in [(-1.0, 0.0, 0.0), (0.8, 0.3, -0.4), (0.5, -0.5, 0.5)]:
-        qq = q1(max(abs(c[0]), abs(c[1])), c[2])
-        below = f_piecewise(c, qq - 1e-11)
-        above = f_piecewise(c, qq + 1e-11)
-        assert abs(below - above) <= 1e-10
-
-
-def test_f_piecewise_rejects_large_c3():
-    with pytest.raises(ValueError):
-        f_piecewise((0.1, 0.0, 0.5), 0.5)
-
-
-def test_f_piecewise_witness_value_at_q1():
+        p = 1.0 - q1(max(abs(c[0]), abs(c[1])), c[2])
+        assert abs(f_under_damping(c, p - 1e-11) - f_under_damping(c, p + 1e-11)) <= 1e-10
+    # the witness (-1, 0, 0) reaches q1^2 / 2 there
     qq = 2.0 / (3.0 + math.sqrt(5.0))
-    val = f_piecewise((-1.0, 0.0, 0.0), qq)
+    val = f_under_damping((-1.0, 0.0, 0.0), 1.0 - qq)
     assert val == pytest.approx(0.5 * qq * qq, abs=1e-15)
     assert val == pytest.approx(0.072949, abs=1e-6)
 
@@ -180,30 +149,6 @@ def test_q1_rejects_degenerate():
         q1(0.0, 0.0)
     with pytest.raises(ValueError):
         q1(0.5, 0.7)
-
-
-def test_f_derivative_at_q_one():
-    for c in [(-1.0, 0.0, 0.0), (0.7, 0.2, 0.1), (0.5, -0.5, 0.5)]:
-        c1, c2, c3 = c
-        cmax = max(abs(c1), abs(c2))
-        expected = c1 * c1 + c2 * c2 - cmax * cmax + 2.0 * c3 * c3
-        assert f_derivative(c, 1.0) == pytest.approx(expected, abs=1e-12)
-
-
-def test_f_derivative_matches_finite_difference():
-    rng = np.random.default_rng(31)
-    cases = [(-1.0, 0.0, 0.0), (0.5, -0.4, 0.3)]
-    while len(cases) < 40:
-        c = random_tetra_point(rng)
-        if abs(c[2]) <= max(abs(c[0]), abs(c[1])):
-            cases.append(c)
-    for c in cases:
-        qq = q1(max(abs(c[0]), abs(c[1])), c[2])
-        for q in np.linspace(qq, 1.0, 7):
-            q = float(min(max(q, qq + 2e-6), 1.0 - 2e-6))
-            fd = (f_piecewise(c, q + 1e-6)
-                  - f_piecewise(c, q - 1e-6)) / 2e-6
-            assert f_derivative(c, q) == pytest.approx(fd, abs=1e-6)
 
 
 # --- enhancibility ----------------------------------------------------------

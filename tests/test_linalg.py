@@ -8,7 +8,6 @@ from rsplab.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    herm_eigvals,
     is_unitary,
     probability,
     psd_check,
@@ -50,9 +49,10 @@ def test_psd_check_tolerance_edge():
     assert not psd_check(np.diag([1.0, -1e-8]).astype(complex), tol=1e-12)
 
 
-def test_herm_eigvals_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+def test_psd_check_rejects_non_hermitian():
+    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-10"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        psd_check(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_rotation_z_by_half_pi():
