@@ -51,12 +51,9 @@ from .oracles import (
 )
 from .states import (
     BellDiagonalParams,
-    PauliDecomposition,
     TwoQubitState,
     bell_diagonal,
     bell_eigenvalues,
-    compose,
-    decompose,
     local_unitary,
     state_from_json,
     state_to_json,
@@ -72,7 +69,6 @@ __all__ = [
     "MeasureReport",
     "OracleConfig",
     "OracleReport",
-    "PauliDecomposition",
     "QubitChannel",
     "TwoQubitState",
     "amplitude_damping",
@@ -82,8 +78,6 @@ __all__ = [
     "bit_flip",
     "bit_phase_flip",
     "channel_from_json",
-    "compose",
-    "decompose",
     "depolarizing",
     "dg_under_damping",
     "discord_raising",

@@ -26,10 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import PauliDecomposition, TwoQubitState, compose
-
-CHOI_TOL = 1e-9
+from .linalg import CHOI_TOL, DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import TwoQubitState
 
 
 class AffineRep(NamedTuple):
@@ -65,16 +63,16 @@ def choi_from_affine(t, tmat) -> np.ndarray:
     return 0.5 * choi.reshape(4, 4)
 
 
-def affine_to_kraus(t, tmat, tol: float = CHOI_TOL):
+def affine_to_kraus(t, tmat):
     """Kraus operators of a CP affine map via Choi eigendecomposition.
 
     Raises:
-        ValueError: if the Choi matrix is not PSD within ``tol`` (the
-            map is not completely positive).
+        ValueError: if the Choi matrix is not PSD within 1e-9 (the map
+            is not completely positive).
     """
     c = choi_from_affine(t, tmat)
     vals, vecs = np.linalg.eigh(c)
-    if vals[0] < -tol:
+    if vals[0] < -CHOI_TOL:
         raise ValueError(f"map is not completely positive: Choi eigenvalue {vals[0]:.3e}")
     kraus = []
     for val, vec in zip(vals, vecs.T):
@@ -117,14 +115,14 @@ class QubitChannel:
         return AffineRep(t=self.ptm[1:, 0], tmat=self.ptm[1:, 1:])
 
     @classmethod
-    def from_kraus(cls, ops, tol: float = DEFAULT_TOL) -> "QubitChannel":
+    def from_kraus(cls, ops) -> "QubitChannel":
         """Channel of a trace-preserving Kraus set.
 
         Raises:
             ValueError: if the set is empty, an operator is not 2x2 or
                 has a non-finite entry, the set is not trace preserving
-                within ``tol``, the transfer matrix carries imaginary
-                parts above ``tol``, or the Choi matrix has trace other
+                within 1e-10, the transfer matrix carries imaginary
+                parts above 1e-10, or the Choi matrix has trace other
                 than 2 or is not PSD.
         """
         ops = [np.asarray(k, dtype=complex) for k in ops]
@@ -134,7 +132,7 @@ class QubitChannel:
             if k.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
         kraus = np.array(ops)
-        return cls(kraus, *_kraus_ptm(kraus, tol))
+        return cls(kraus, *_kraus_ptm(kraus))
 
     def __repr__(self):
         t_norm = np.linalg.norm(self.affine.t)
@@ -147,7 +145,7 @@ _CHOI_TO_PTM = 0.5 * np.einsum("nij,mba->iajbmn", PAULI_BASIS, PAULI_BASIS).resh
 _CHOI_TO_PTM.setflags(write=False)
 
 
-def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
+def _kraus_ptm(kraus: np.ndarray):
     """Checked transfer and Choi matrices (..., 4, 4) of trace-preserving
     Kraus sets (..., k, 2, 2): the batched core of ``from_kraus``.
 
@@ -170,15 +168,15 @@ def _kraus_ptm(kraus: np.ndarray, tol: float = DEFAULT_TOL):
     # transpose of sum K^dag K; transposing leaves |. - I| as it is
     blocks = choi.reshape(choi.shape[:-2] + (2, 2, 2, 2))
     dev = np.abs(blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1] - ID2).max()
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
     m = (choi.reshape(choi.shape[:-2] + (16,)) @ _CHOI_TO_PTM).reshape(choi.shape)
     imag = np.abs(m.imag).max()
-    if imag > tol:
+    if imag > DEFAULT_TOL:
         raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
-    if abs(choi.trace(axis1=-2, axis2=-1).real - 2.0).max() > tol:
+    if abs(choi.trace(axis1=-2, axis2=-1).real - 2.0).max() > DEFAULT_TOL:
         raise ValueError("Choi trace differs from 2")
-    if not linalg.psd_check(choi, tol=CHOI_TOL):
+    if not linalg.psd_check(choi):
         raise ValueError("Choi matrix not PSD: map is not completely positive")
     # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
     ptm = m.real.copy()
@@ -197,8 +195,7 @@ def apply_local(ch_a: QubitChannel, ch_b: QubitChannel,
 
     The coefficient matrix maps as C -> M_A C M_B^T.
     """
-    return compose(PauliDecomposition.from_matrix(
-        _product_action(ch_a.ptm, s.decomposition.c, ch_b.ptm)))
+    return TwoQubitState.from_coefficients(_product_action(ch_a.ptm, s.c, ch_b.ptm))
 
 
 # ---------------------------------------------------------------------------

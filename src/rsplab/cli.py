@@ -91,8 +91,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.state:
-        d = _load_state(args.state).decomposition
-        _print_json({"a": d.a, "b": d.b, "e": d.e})
+        s = _load_state(args.state)
+        _print_json({"a": s.a, "b": s.b, "e": s.e})
     else:
         fac = channels.factorize(_load_channel(args.channel))
         _print_json({"r1": fac.r1, "r2": fac.r2, "diag": fac.diag,
@@ -139,7 +139,7 @@ def _cmd_enhance(args) -> int:
 def _cmd_scan(args) -> int:
     result = enhancement.scan_tetrahedron(resolution=args.resolution)
     with _output(args.out) as fh:
-        enhancement.write_scan_csv(result, fh, include_summary=True)
+        enhancement.write_scan_csv(result, fh)
     if args.out:
         for line in enhancement.scan_summary_lines(result):
             print(line)

@@ -28,8 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import probability
-from .states import (BELL_TOL, PauliDecomposition, TwoQubitState,
-                     as_bell_params, bell_eigenvalues, compose)
+from .states import BELL_TOL, TwoQubitState, as_bell_params, bell_eigenvalues
 
 # Size limits, checked before anything is allocated: a scan holds
 # resolution^3 lattice floats, a trace steps rows and a profile a few
@@ -50,9 +49,9 @@ def evolve_closed_form(c, p) -> TwoQubitState:
     p = probability(p, "damping probability")
     q = 1.0 - p
     c1, c2, c3 = params.as_tuple()
-    shift = np.array([0.0, 0.0, p])
-    e = np.diag([q * c1, q * c2, c3 * q * q + p * p])
-    return compose(PauliDecomposition(a=shift, b=shift, e=e))
+    c = np.diag([1.0, q * c1, q * c2, c3 * q * q + p * p])
+    c[3, 0] = c[0, 3] = p  # a = b = (0, 0, p)
+    return TwoQubitState.from_coefficients(c)
 
 
 def _squares(c1, c2, c3, p, q):
@@ -477,12 +476,12 @@ def scan_tetrahedron(resolution: int = 81) -> ScanResult:
                       fraction=fraction, symmetry=symmetry)
 
 
-def write_scan_csv(result: ScanResult, fh, include_summary: bool = False) -> None:
+def write_scan_csv(result: ScanResult, fh) -> None:
+    """The scan's rows as CSV, then its summary lines, each after '# '."""
     _write_rows(fh, "c1,c2,c3,enhancible", "%.12g,%.12g,%.12g,%s\n",
                 (*result.points.T, np.where(result.enhancible, "true", "false")))
-    if include_summary:
-        for line in scan_summary_lines(result):
-            fh.write(f"# {line}\n")
+    for line in scan_summary_lines(result):
+        fh.write(f"# {line}\n")
 
 
 def scan_summary_lines(result: ScanResult):

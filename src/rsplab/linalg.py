@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+CHOI_TOL = 1e-9  # PSD tolerance of Choi matrices, built as sums of v v^dag
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -32,17 +33,19 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
     """Real array of the given shape parsed from nested lists of numbers.
 
     Raises:
-        ValueError: naming ``what`` if ``value`` is not numeric (for
-            example a JSON null, an object or a ragged list) or has
-            another shape.
+        ValueError: naming ``what`` if ``value`` holds anything but ints
+            and floats (for example a JSON null, a string, a boolean, an
+            object or a ragged list) or has another shape.
     """
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.array(value, dtype=object)
+    except ValueError:
         arr = None
-    if arr is None or arr.shape != shape:
+    # JSON numbers parse as int and float; bool is a subclass of int, but
+    # its own type, so a type test excludes it
+    if arr is None or arr.shape != shape or not {type(x) for x in arr.flat} <= {int, float}:
         raise ValueError(f"{what} must be numbers of shape {shape}, got {value!r}")
-    return arr
+    return arr.astype(float)
 
 
 def probability(p, what: str = "probability") -> float:
@@ -57,24 +60,24 @@ def probability(p, what: str = "probability") -> float:
     return p
 
 
-def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def psd_check(h: np.ndarray) -> bool:
     """True iff every Hermitian matrix in ``h`` (..., n, n) has all
-    eigenvalues >= -tol.
+    eigenvalues >= -CHOI_TOL.
 
     Raises:
-        ValueError: if ``h`` is not square or not Hermitian within ``tol``
-            (the message gives the largest deviation in the stack).
+        ValueError: if ``h`` is not square or not Hermitian within
+            CHOI_TOL (the message gives the largest deviation in the stack).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     hdag = h.swapaxes(-1, -2).conj()
     dev = abs(h - hdag).max()
-    if dev > tol:
-        raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {tol:.3e}")
+    if dev > CHOI_TOL:
+        raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {CHOI_TOL:.3e}")
     herm = h + hdag
     herm *= 0.5
-    return bool((np.linalg.eigvalsh(herm)[..., 0] >= -tol).all())
+    return bool((np.linalg.eigvalsh(herm)[..., 0] >= -CHOI_TOL).all())
 
 
 def rotation_axis_angle(axis, angle: float) -> np.ndarray:
@@ -117,8 +120,9 @@ def su2_axis_angle(axis, angle) -> np.ndarray:
     return u.reshape(parts.shape[:-1] + (2, 2))
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
+    """True iff u is 2x2 with |u^dag u - I| at most DEFAULT_TOL."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
-    return bool(np.abs(u.conj().T @ u - ID2).max() <= tol)
+    return bool(np.abs(u.conj().T @ u - ID2).max() <= DEFAULT_TOL)

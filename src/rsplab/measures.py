@@ -1,6 +1,6 @@
 """Closed-form correlation measures for two-qubit states.
 
-Both measures are spectra of blocks of the cached coefficient matrix C
+Both measures are spectra of blocks of the state's coefficient matrix C
 (a = C[1:, 0], E = C[1:, 1:]):
 
 * RSP-fidelity  F = (E2^2 + E3^2) / 2  with E1^2 >= E2^2 >= E3^2 the
@@ -93,12 +93,12 @@ def _rsp_fidelities(c) -> np.ndarray:
 
 def rsp_fidelity(s: TwoQubitState) -> float:
     """RSP-fidelity, the sum of the two smallest eigenvalues of E^T E over 2."""
-    return float(spectra(s.decomposition.c)[0])
+    return float(spectra(s.c)[0])
 
 
 def gmqd(s: TwoQubitState) -> float:
     """Normalized geometric quantum discord."""
-    return float(spectra(s.decomposition.c)[1])
+    return float(spectra(s.c)[1])
 
 
 def measure_pair(s: TwoQubitState) -> MeasureReport:
@@ -113,7 +113,7 @@ def measure_pair(s: TwoQubitState) -> MeasureReport:
         RuntimeError: if d_g < f_rsp - 1e-9, which can only come from a
             numerical bug, never from a valid state.
     """
-    c = s.decomposition.c
+    c = s.c
     f, d, e_sq, lam_max = spectra(c)
     f, d = float(f), float(d)
     if d < f - ORDER_TOL:

@@ -298,10 +298,10 @@ def ginibre_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(_normalized_gram(_ginibre_from_normals(rng.normal(size=32))))
 
 
-def bounded_purity_state(rng: np.random.Generator,
-                         max_purity: float = 0.99) -> TwoQubitState:
+def bounded_purity_state(rng: np.random.Generator) -> TwoQubitState:
+    """The first ``ginibre_state`` of purity at most 0.99."""
     s = ginibre_state(rng)
-    while s.purity > max_purity:
+    while s.purity > 0.99:
         s = ginibre_state(rng)
     return s
 
@@ -350,15 +350,13 @@ def _unital_inputs(draws: np.ndarray):
 def _unital_rises(g, w, axes, angles) -> np.ndarray:
     """RSP-fidelity after minus before of stacked trials.
 
-    The states rho = G G^dag / tr and the channels are validated as
-    ``ginibre_state`` and ``sample_unital_local`` validate them; the
-    after-state takes the round trip through its density matrix that
-    ``apply_local`` takes, which validates it too.
+    The states rho = G G^dag / tr, the channels and the after-states are
+    validated as ``ginibre_state``, ``sample_unital_local`` and
+    ``apply_local`` validate them.
     """
     c = states._coefficients(_normalized_gram(g))
     _, ptm, _ = channels._unital_channels(w, axes, angles)
-    c_out = states._checked(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
-    after = states._coefficients(states._density(c_out))
+    _, after = states._composed(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
     f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]
 
@@ -390,8 +388,7 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
 
 def _pair_measures(before: TwoQubitState, after: TwoQubitState):
     """((f before, f after), (d_g before, d_g after)) from one spectra call."""
-    f, d, _, _ = measures.spectra(np.array([before.decomposition.c,
-                                            after.decomposition.c]))
+    f, d, _, _ = measures.spectra(np.array([before.c, after.c]))
     return f.tolist(), d.tolist()
 
 

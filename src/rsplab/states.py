@@ -1,17 +1,18 @@
-"""Two-qubit density matrices and their Pauli/Bloch decomposition.
+"""Two-qubit states: the density matrix and its Pauli coefficient matrix.
 
-A two-qubit state rho is stored dense (4x4 complex) together with its
-cached decomposition, the real 4x4 matrix
+A two-qubit state rho is stored dense (4x4 complex) together with the
+real 4x4 matrix
 
     C[mu, nu] = tr(rho sigma_mu o sigma_nu),   sigma_0 = I,
 
 so that rho = (1/4) sum_{mu nu} C[mu, nu] sigma_mu o sigma_nu.  Its
 blocks are C[0, 0] = 1, the local Bloch vectors a = C[1:, 0] and
 b = C[0, 1:], and the 3x3 correlation matrix E = C[1:, 1:].  All
-measure computations downstream read the cached C, never the raw
-matrix, so construction is the single source of numerical truth.
-Validation with decomposition, and composition, each have one core that
-works on stacks over leading axes; ``decompose`` and ``compose`` wrap them.
+measure computations downstream read C, never the raw matrix, so
+construction is the single source of numerical truth.  ``TwoQubitState``
+checks a density matrix from outside; ``from_coefficients`` composes rho
+from a C.  Both read C off rho by one map, and each has one core that
+works on stacks over leading axes.
 """
 
 from __future__ import annotations
@@ -60,57 +61,6 @@ def _apply_four_term(x: np.ndarray, four_term) -> np.ndarray:
 BELL_TOL = 1e-12
 
 
-class PauliDecomposition:
-    """Bloch vectors and correlation matrix of a two-qubit state.
-
-    Built from ``(a, b, e)`` or, with ``from_matrix``, from the full
-    coefficient matrix C.
-
-    Attributes:
-        c: the read-only 4x4 matrix C described in the module docstring.
-        a: Alice's Bloch vector C[1:, 0], shape (3,).
-        b: Bob's Bloch vector C[0, 1:], shape (3,).
-        e: correlation matrix C[1:, 1:] with E[k, l] = tr(rho sigma_k o sigma_l).
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, a, b, e):
-        c = np.empty((4, 4))
-        c[0, 0] = 1.0
-        c[1:, 0] = np.asarray(a, dtype=float).reshape(3)
-        c[0, 1:] = np.asarray(b, dtype=float).reshape(3)
-        c[1:, 1:] = np.asarray(e, dtype=float).reshape(3, 3)
-        self.c = _checked(c)
-
-    @classmethod
-    def from_matrix(cls, c) -> "PauliDecomposition":
-        """Decomposition with the given coefficient matrix C (copied)."""
-        c = np.array(c, dtype=float)
-        if c.shape != (4, 4):
-            raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
-        return cls._wrap(_checked(c))
-
-    @classmethod
-    def _wrap(cls, c: np.ndarray) -> "PauliDecomposition":
-        """Decomposition holding the already checked matrix c."""
-        d = cls.__new__(cls)
-        d.c = c
-        return d
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.c[1:, 0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.c[0, 1:]
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.c[1:, 1:]
-
-
 def _top(values, lowest: bool = False):
     """Max (or min) of per-matrix values; one matrix's 0-d value as it is,
     off numpy's slow scalar reductions (about 3 us a call)."""
@@ -124,8 +74,6 @@ def _checked(c: np.ndarray) -> np.ndarray:
 
     A message with a number gives the worst entry of the stack.
     """
-    if c.shape[-2:] != (4, 4):
-        raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("decomposition entries must be finite")
     dev = abs(c[..., 0, 0] - 1.0)
@@ -140,95 +88,112 @@ def _checked(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _coefficients(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _read_off(rho: np.ndarray, herm: np.ndarray) -> np.ndarray:
+    """Complex coefficient matrices of matrices rho (..., 4, 4), each
+    checked to have unit trace and a PSD Hermitian part herm within
+    DEFAULT_TOL; a message gives the worst value of the stack."""
+    tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
+    if tr_dev > DEFAULT_TOL:
+        raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
+    low = _top(np.linalg.eigvalsh(herm)[..., 0], lowest=True)
+    if not low >= -DEFAULT_TOL:
+        raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
+    return _apply_four_term(rho, _TO_COEFF)
+
+
+def _coefficients(rho: np.ndarray) -> np.ndarray:
     """Checked coefficient matrices C (..., 4, 4) of density matrices
-    rho (..., 4, 4): the batched core of ``decompose``.
+    rho (..., 4, 4): the batched core of ``TwoQubitState(rho)``.
 
     Raises:
         ValueError: if any entry is not finite, or any matrix is not
-            Hermitian, not of unit trace or not PSD within ``tol``, or its
-            coefficients are not real; a message with a number gives the
-            worst value of the stack.
+            Hermitian, not of unit trace or not PSD within DEFAULT_TOL, or
+            its coefficients are not real; a message with a number gives
+            the worst value of the stack.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix entries must be finite")
     rho_dag = rho.swapaxes(-1, -2).conj()
     herm_dev = abs(rho - rho_dag).max()
-    if herm_dev > tol:
+    if herm_dev > DEFAULT_TOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
-    tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
-    if tr_dev > tol:
-        raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
     herm = rho + rho_dag
     herm *= 0.5
-    low = _top(np.linalg.eigvalsh(herm)[..., 0], lowest=True)
-    if not low >= -tol:
-        raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
-    coeff = _apply_four_term(rho, _TO_COEFF)
+    coeff = _read_off(rho, herm)
     imag = abs(coeff.imag).max()
-    if imag > tol:
+    if imag > DEFAULT_TOL:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
     c = coeff.real.copy()
-    c[..., 0, 0] = 1.0  # tr(rho), already checked to be 1 within tol
+    c[..., 0, 0] = 1.0  # tr(rho), already checked to be 1 within DEFAULT_TOL
     return _checked(c)
 
 
-def _density(c: np.ndarray) -> np.ndarray:
-    """Density matrices (1/4) sum C[mu, nu] sigma_mu o sigma_nu of
-    coefficient matrices (..., 4, 4), unchecked: the batched core of
-    ``compose``."""
-    return 0.25 * _apply_four_term(c, _TO_DENSITY)
-
-
-def decompose(rho: np.ndarray, tol: float = DEFAULT_TOL) -> PauliDecomposition:
-    """Pauli decomposition of a valid 4x4 density matrix.
-
-    Args:
-        rho: 4x4 complex density matrix (Hermitian, unit trace, PSD).
-        tol: validation tolerance.
-
-    Returns:
-        The decomposition with imaginary parts (checked to be below
-        ``tol``) discarded.
-
-    Raises:
-        ValueError: if ``rho`` fails any density-matrix check.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return PauliDecomposition._wrap(_coefficients(rho, tol))
+def _composed(c: np.ndarray):
+    """Density matrices of coefficient matrices c (..., 4, 4), and the C
+    read back off them: the batched core of ``from_coefficients``.  Once c
+    passes ``_checked``, each rho is Hermitian bit for bit and its C real
+    within rounding, so only the trace and PSD checks can fail."""
+    _checked(c)
+    rho = 0.25 * _apply_four_term(c, _TO_DENSITY)
+    back = _read_off(rho, rho).real.copy()
+    back[..., 0, 0] = 1.0
+    for arr in (rho, back):
+        arr.setflags(write=False)
+    return rho, back
 
 
 class TwoQubitState:
-    """Immutable two-qubit density matrix with cached decomposition.
+    """Immutable two-qubit state.
 
     Raises ValueError at construction when the matrix is not Hermitian,
     not unit trace, or not PSD, each within 1e-10.
+
+    Attributes:
+        rho: the read-only 4x4 complex density matrix.
+        c: the read-only 4x4 matrix C described in the module docstring.
+        a: Alice's Bloch vector C[1:, 0], shape (3,).
+        b: Bob's Bloch vector C[0, 1:], shape (3,).
+        e: correlation matrix C[1:, 1:] with E[k, l] = tr(rho sigma_k o sigma_l).
     """
 
-    __slots__ = ("rho", "decomposition")
+    __slots__ = ("rho", "c")
 
-    def __init__(self, rho, tol: float = DEFAULT_TOL):
+    def __init__(self, rho):
         rho = np.array(rho, dtype=complex)
-        self.decomposition = decompose(rho, tol=tol)
+        if rho.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+        self.c = _coefficients(rho)
         rho.setflags(write=False)
         self.rho = rho
 
+    @classmethod
+    def from_coefficients(cls, c) -> "TwoQubitState":
+        """State (1/4) sum C[mu, nu] sigma_mu o sigma_nu of a coefficient
+        matrix C (copied), whose ``c`` is read back off its ``rho``.
+
+        Raises:
+            ValueError: if C is not 4x4 and finite, with C[0, 0] = 1 and
+                Bloch vectors and correlations of size at most 1 (within
+                1e-9), or the state's trace or PSD check fails (1e-10).
+        """
+        c = np.array(c, dtype=float)
+        if c.shape != (4, 4):
+            raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
+        s = cls.__new__(cls)
+        s.rho, s.c = _composed(c)
+        return s
+
     @property
     def a(self) -> np.ndarray:
-        return self.decomposition.a
+        return self.c[1:, 0]
 
     @property
     def b(self) -> np.ndarray:
-        return self.decomposition.b
+        return self.c[0, 1:]
 
     @property
     def e(self) -> np.ndarray:
-        return self.decomposition.e
+        return self.c[1:, 1:]
 
     @property
     def purity(self) -> float:
@@ -238,16 +203,6 @@ class TwoQubitState:
         a, b, e = self.a, self.b, self.e
         return (f"TwoQubitState(|a|={np.linalg.norm(a):.4f}, "
                 f"|b|={np.linalg.norm(b):.4f}, |E|_F={np.linalg.norm(e):.4f})")
-
-
-def compose(d: PauliDecomposition) -> TwoQubitState:
-    """Rebuild the density matrix from a decomposition.
-
-    Raises:
-        ValueError: if the resulting matrix is not a density matrix
-            (signals an invalid decomposition).
-    """
-    return TwoQubitState(_density(d.c))
 
 
 def bell_eigenvalues(c1: float, c2: float, c3: float) -> np.ndarray:
@@ -311,19 +266,19 @@ def bell_diagonal(c1, c2=None, c3=None) -> TwoQubitState:
         params = as_bell_params(c1)
     else:
         params = BellDiagonalParams(float(c1), float(c2), float(c3))
-    return compose(PauliDecomposition.from_matrix(np.diag((1.0, *params.as_tuple()))))
+    return TwoQubitState.from_coefficients(np.diag((1.0, *params.as_tuple())))
 
 
-def local_unitary(s: TwoQubitState, u1, u2, tol: float = 1e-10) -> TwoQubitState:
+def local_unitary(s: TwoQubitState, u1, u2) -> TwoQubitState:
     """Conjugate a state by a product unitary U1 o U2.
 
     Raises:
-        ValueError: if either factor is not unitary within ``tol``.
+        ValueError: if either factor is not unitary within 1e-10.
     """
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
     for name, u in (("u1", u1), ("u2", u2)):
-        if not linalg.is_unitary(u, tol=tol):
+        if not linalg.is_unitary(u):
             raise ValueError(f"{name} is not a 2x2 unitary within tolerance")
     u = np.kron(u1, u2)
     return TwoQubitState(u @ s.rho @ u.conj().T)

@@ -169,7 +169,7 @@ def test_choi_full_damping_spectrum():
 def test_choi_detects_non_cp():
     # T = diag(1,1,-1) is outside the unital tetrahedron
     c = choi_from_affine(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
-    assert not psd_check(c, tol=1e-9)
+    assert not psd_check(c)
 
 
 def test_channel_constructor_rejects_non_cp_affine():
@@ -428,7 +428,7 @@ def test_damping_pair_matches_closed_form(seed, p):
     out = apply_local(ad, ad, bell_diagonal(c1, c2, c3))
     expected = np.diag([1.0, q * c1, q * c2, c3 * q * q + p * p])
     expected[3, 0] = expected[0, 3] = p
-    assert np.abs(out.decomposition.c - expected).max() <= 1e-12
+    assert np.abs(out.c - expected).max() <= 1e-12
 
 
 # --- batched core -----------------------------------------------------------
@@ -494,7 +494,7 @@ def test_kraus_ptm_rejections_in_order(monkeypatch):
         with pytest.raises(ValueError, match="^transfer matrix not real: max imag "):
             _kraus_ptm(good)
     with monkeypatch.context() as patch:
-        patch.setattr(channels.linalg, "psd_check", lambda h, tol: False)
+        patch.setattr(channels.linalg, "psd_check", lambda h: False)
         with pytest.raises(ValueError, match="^Choi matrix not PSD"):
             _kraus_ptm(good)
 
@@ -509,7 +509,7 @@ def test_sample_unital_channels_are_valid():
             assert np.linalg.norm(ch.affine.t) <= 1e-12
             acc = sum(k.conj().T @ k for k in ch.kraus)
             assert np.allclose(acc, np.eye(2), atol=1e-10)
-            assert psd_check(ch.choi, tol=1e-9)
+            assert psd_check(ch.choi)
             assert abs(np.trace(ch.choi).real - 2.0) < 1e-10
 
 

@@ -484,7 +484,7 @@ def test_write_rows_matches_per_row_format(n_rows, width, chunk, flag_column, da
 def test_scan_csv_round_trip(resolution):
     res = scan_tetrahedron(resolution=resolution)
     buf = io.StringIO()
-    write_scan_csv(res, buf, include_summary=True)
+    write_scan_csv(res, buf)
     text = buf.getvalue()
     assert text.startswith("c1,c2,c3,enhancible\n")
     pts, flags = parse_scan_csv(text)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from rsplab.channels import channel_from_json
 from rsplab.linalg import (
     PAULIS,
     SIGMA_X,
@@ -14,6 +15,7 @@ from rsplab.linalg import (
     rotation_axis_angle,
     su2_axis_angle,
 )
+from rsplab.states import state_from_json
 
 RNG = np.random.default_rng(20240817)
 
@@ -44,13 +46,53 @@ def test_probability_bounds():
             probability(bad, "damping probability")
 
 
+_DENSE_RE = (np.eye(4) / 4).tolist()
+_ZEROS = np.zeros((4, 4)).tolist()
+
+
+@pytest.mark.parametrize("load,obj,message", [
+    (channel_from_json, {"type": "bit_flip", "p": None},
+     "channel field 'p' must be numbers of shape (), got None"),
+    (channel_from_json, {"type": "bit_flip", "p": "0.3"},
+     "channel field 'p' must be numbers of shape (), got '0.3'"),
+    (channel_from_json, {"type": "amplitude_damping", "p": True},
+     "channel field 'p' must be numbers of shape (), got True"),
+    (channel_from_json, {"type": "kraus", "ops": [{"re": [[1, 0], [0, True]]}]},
+     "Kraus op part 're' must be numbers of shape (2, 2), got [[1, 0], [0, True]]"),
+    (channel_from_json, {"type": "kraus", "ops": [{"re": [[1, 0], [0, 1]], "im": [[0, None], [0, 0]]}]},
+     "Kraus op part 'im' must be numbers of shape (2, 2), got [[0, None], [0, 0]]"),
+    (state_from_json, {"type": "bell_diagonal", "c": [True, False, False]},
+     "bell_diagonal field 'c' must be numbers of shape (3,), got [True, False, False]"),
+    (state_from_json, {"type": "bell_diagonal", "c": [None, 0, 0]},
+     "bell_diagonal field 'c' must be numbers of shape (3,), got [None, 0, 0]"),
+    (state_from_json, {"type": "bell_diagonal", "c": ["0.5", 0, 0]},
+     "bell_diagonal field 'c' must be numbers of shape (3,), got ['0.5', 0, 0]"),
+    (state_from_json, {"type": "dense", "re": _DENSE_RE, "im": [[False] * 4] * 4},
+     f"dense state part 'im' must be numbers of shape (4, 4), got {[[False] * 4] * 4!r}"),
+    # ints and floats pass as before
+    (channel_from_json, {"type": "bit_flip", "p": 1}, None),
+    (state_from_json, {"type": "bell_diagonal", "c": [1, 0, 0]}, None),
+    (state_from_json, {"type": "dense", "re": _DENSE_RE, "im": _ZEROS}, None),
+], ids=["p_null", "p_string", "p_bool", "kraus_bool", "kraus_null", "c_bools", "c_null",
+        "c_string", "dense_bools", "p_int", "c_ints", "dense_ints"])
+def test_json_fields_take_only_numbers(load, obj, message):
+    # nulls, strings and booleans would parse as floats: each is named instead
+    if message is None:
+        load(obj)
+        return
+    with pytest.raises(ValueError) as exc:
+        load(obj)
+    assert str(exc.value) == message
+
+
 def test_psd_check_tolerance_edge():
-    assert psd_check(np.diag([1.0, -1e-13]).astype(complex), tol=1e-12)
-    assert not psd_check(np.diag([1.0, -1e-8]).astype(complex), tol=1e-12)
+    # the fixed tolerance is CHOI_TOL = 1e-9
+    assert psd_check(np.diag([1.0, -1e-10]).astype(complex))
+    assert not psd_check(np.diag([1.0, -1e-8]).astype(complex))
 
 
 def test_psd_check_rejects_non_hermitian():
-    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-10"
+    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-09"
     with pytest.raises(ValueError, match=re.escape(message)):
         psd_check(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 

@@ -7,13 +7,7 @@ from rsplab.channels import apply_local, discord_raising, identity_channel
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, measure_pair, rsp_fidelity, spectra
 from rsplab.oracles import ginibre_state, random_unitary
-from rsplab.states import (
-    PauliDecomposition,
-    TwoQubitState,
-    bell_diagonal,
-    compose,
-    local_unitary,
-)
+from rsplab.states import TwoQubitState, bell_diagonal, local_unitary
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -120,7 +114,7 @@ def test_measure_pair_zeroes_noise_after_discord_raising(i):
     # E' = t_A b^T + T_A E with T_A of rank one, so e_sq[2] is zero exactly
     s = ginibre_state(np.random.default_rng([7, i]))
     out = apply_local(discord_raising(), identity_channel(), s)
-    f, d, e_sq, lam_max = spectra(out.decomposition.c)
+    f, d, e_sq, lam_max = spectra(out.c)
     rep = measure_pair(out)
     assert rep.e_sq == (float(e_sq[0]), float(e_sq[1]), 0.0)
     assert (rep.f_rsp, rep.d_g, rep.lambda_max) == (float(f), float(d), float(lam_max))
@@ -131,7 +125,7 @@ def test_measure_pair_keeps_values_above_noise():
     rng = np.random.default_rng(11)
     for _ in range(50):
         s = ginibre(rng)
-        f, d, e_sq, lam_max = spectra(s.decomposition.c)
+        f, d, e_sq, lam_max = spectra(s.c)
         rep = measure_pair(s)
         assert rep.e_sq == tuple(e_sq.tolist())
         assert (rep.f_rsp, rep.d_g, rep.lambda_max) == (float(f), float(d), float(lam_max))

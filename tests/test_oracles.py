@@ -397,7 +397,7 @@ def test_random_state_generators():
         assert abs(np.trace(s.rho).real - 1.0) <= 1e-12
 
     for _ in range(50):
-        s = bounded_purity_state(rng, max_purity=0.99)
+        s = bounded_purity_state(rng)
         assert np.trace(s.rho @ s.rho).real <= 0.99 + 1e-12
 
     for _ in range(50):

@@ -2,19 +2,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rsplab.channels import _product_action, amplitude_damping, sample_unital_local
+from rsplab.enhancement import evolve_closed_form
 from rsplab.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_angle
+from rsplab.oracles import ginibre_state, random_bell_params
 from rsplab.states import (
-    BellDiagonalParams,
-    PauliDecomposition,
     TwoQubitState,
     _checked,
     _coefficients,
-    _density,
+    _composed,
     bell_diagonal,
     bell_eigenvalues,
-    compose,
-    decompose,
     local_unitary,
     state_from_json,
     state_to_json,
@@ -35,14 +36,14 @@ def random_state(rng):
 
 
 def test_decompose_maximally_mixed():
-    d = decompose(np.eye(4, dtype=complex) / 4)
+    d = TwoQubitState(np.eye(4, dtype=complex) / 4)
     assert np.allclose(d.a, 0.0)
     assert np.allclose(d.b, 0.0)
     assert np.allclose(d.e, 0.0)
 
 
 def test_decompose_singlet():
-    d = decompose(SINGLET)
+    d = TwoQubitState(SINGLET)
     assert np.allclose(d.a, 0.0, atol=1e-12)
     assert np.allclose(d.b, 0.0, atol=1e-12)
     assert np.allclose(d.e, -np.eye(3), atol=1e-12)
@@ -52,7 +53,7 @@ def test_decompose_classical_mixture():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
     rho[3, 3] = 0.5
-    d = decompose(rho)
+    d = TwoQubitState(rho)
     assert np.allclose(d.a, 0.0)
     assert np.allclose(d.b, 0.0)
     assert np.allclose(d.e, np.diag([0.0, 0.0, 1.0]))
@@ -60,45 +61,43 @@ def test_decompose_classical_mixture():
 
 def test_decompose_rejects_bad_trace():
     with pytest.raises(ValueError):
-        decompose(np.eye(4, dtype=complex))
+        TwoQubitState(np.eye(4, dtype=complex))
 
 
 def test_decompose_rejects_non_psd():
     rho = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(ValueError):
-        decompose(rho)
+        TwoQubitState(rho)
 
 
 def test_compose_zero_is_maximally_mixed():
-    d = PauliDecomposition(a=np.zeros(3), b=np.zeros(3), e=np.zeros((3, 3)))
-    assert np.allclose(compose(d).rho, np.eye(4) / 4)
+    s = TwoQubitState.from_coefficients(np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert np.allclose(s.rho, np.eye(4) / 4)
 
 
 def test_compose_singlet_matrix():
-    d = PauliDecomposition(a=np.zeros(3), b=np.zeros(3), e=-np.eye(3))
-    assert np.allclose(compose(d).rho, SINGLET, atol=1e-12)
+    s = TwoQubitState.from_coefficients(np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert np.allclose(s.rho, SINGLET, atol=1e-12)
 
 
 def test_compose_damped_decomposition_is_valid():
     # closed-form image of (0.5, 0, -0.5) under symmetric damping p=0.3
     p, q = 0.3, 0.7
     c1, c2, c3 = 0.5, 0.0, -0.5
-    d = PauliDecomposition(
-        a=np.array([0.0, 0.0, p]), b=np.array([0.0, 0.0, p]),
-        e=np.diag([q * c1, q * c2, c3 * q * q + p * p]))
-    s = compose(d)
+    c = np.diag([1.0, q * c1, q * c2, c3 * q * q + p * p])
+    c[3, 0] = c[0, 3] = p
+    s = TwoQubitState.from_coefficients(c)
     assert s.purity <= 1.0 + 1e-12
 
 
 def test_round_trip_decompose_compose():
     for _ in range(200):
         s = random_state(RNG)
-        d = s.decomposition
-        assert np.allclose(compose(d).rho, s.rho, atol=1e-10)
-        d2 = decompose(s.rho)
-        assert np.allclose(d2.a, d.a, atol=1e-10)
-        assert np.allclose(d2.b, d.b, atol=1e-10)
-        assert np.allclose(d2.e, d.e, atol=1e-10)
+        t = TwoQubitState.from_coefficients(s.c)
+        assert np.allclose(t.rho, s.rho, atol=1e-10)
+        assert np.allclose(t.a, s.a, atol=1e-10)
+        assert np.allclose(t.b, s.b, atol=1e-10)
+        assert np.allclose(t.e, s.e, atol=1e-10)
 
 
 def test_bell_eigenvalues_formula():
@@ -195,9 +194,10 @@ def test_state_validation():
 
 
 def test_decomposition_bounds_enforced():
-    with pytest.raises(ValueError):
-        PauliDecomposition(a=np.array([1.5, 0.0, 0.0]), b=np.zeros(3),
-                           e=np.zeros((3, 3)))
+    c = np.diag([1.0, 0.0, 0.0, 0.0])
+    c[1, 0] = 1.5
+    with pytest.raises(ValueError, match="^Bloch vector norm exceeds 1$"):
+        TwoQubitState.from_coefficients(c)
 
 
 def test_json_bell_and_dense_round_trip():
@@ -222,6 +222,10 @@ def test_states_are_immutable():
         s.rho[0, 0] = 9.0
     with pytest.raises(ValueError):
         s.e[0, 0] = 9.0
+    t = TwoQubitState(s.rho)
+    for arr in (t.rho, t.c):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
 
 
 # --- batched cores -----------------------------------------------------------
@@ -234,11 +238,12 @@ def test_coefficients_batch_matches_decompose():
     rhos = _random_rhos(8)
     c = _coefficients(rhos)
     assert c.shape == (8, 4, 4)
-    dens = _density(c)
+    dens, back = _composed(c.copy())
     for k in range(8):
-        d = decompose(rhos[k])
-        assert np.array_equal(c[k], d.c)
-        assert np.array_equal(dens[k], compose(d).rho)
+        assert np.array_equal(c[k], TwoQubitState(rhos[k]).c)
+        s = TwoQubitState.from_coefficients(c[k])
+        assert np.array_equal(dens[k], s.rho)
+        assert np.array_equal(back[k], s.c)
 
 
 def _non_hermitian(rho):
@@ -260,15 +265,76 @@ def test_coefficients_batch_reports_scalar_message(spoil):
     rhos = _random_rhos(8)
     rhos[3] = spoil(rhos[3].copy())
     with pytest.raises(ValueError) as scalar:
-        decompose(rhos[3])
+        TwoQubitState(rhos[3])
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
         _coefficients(rhos)
 
 
 def test_checked_batch_reports_scalar_message():
-    c = np.stack([bell_diagonal(0.5, 0.0, -0.5).decomposition.c] * 8)
+    c = np.stack([bell_diagonal(0.5, 0.0, -0.5).c] * 8)
     c[6, 0, 0] = 1.5
     with pytest.raises(ValueError) as scalar:
-        PauliDecomposition.from_matrix(c[6])
+        TwoQubitState.from_coefficients(c[6])
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        _composed(c.copy())
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
         _checked(c)
+
+
+# --- from_coefficients --------------------------------------------------------
+
+def _coefficients_with(entries, c00=1.0):
+    c = np.diag([c00, 0.0, 0.0, 0.0])
+    for (i, j), v in entries.items():
+        c[i, j] = v
+    return c
+
+
+# Every way a coefficient matrix fails, with its exact message.
+@pytest.mark.parametrize("c,message", [
+    (np.zeros((3, 3)), "coefficient matrix must be 4x4, got (3, 3)"),
+    (np.zeros(4), "coefficient matrix must be 4x4, got (4,)"),
+    (np.diag([1.0, np.nan, 0.0, 0.0]), "decomposition entries must be finite"),
+    (np.diag([1.0, 0.0, np.inf, 0.0]), "decomposition entries must be finite"),
+    (_coefficients_with({}, c00=1.5), "C[0, 0] must be 1 (unit trace), got np.float64(1.5)"),
+    (_coefficients_with({(1, 0): 1.5}), "Bloch vector norm exceeds 1"),
+    (_coefficients_with({(0, 2): -1.2}), "Bloch vector norm exceeds 1"),
+    (_coefficients_with({(1, 2): -1.5}), "correlation matrix entry exceeds 1 in magnitude"),
+    # within _checked's 1e-9 of unit trace, beyond the state's 1e-10
+    (_coefficients_with({}, c00=1.0 + 5e-10), "trace differs from 1 by 5.000e-10"),
+    (np.diag([1.0, 1.0, 1.0, 1.0]), "not positive semidefinite: lowest eigenvalue -5.000e-01"),
+    (np.diag([1.0, 0.5, 0.5, 0.5]), "not positive semidefinite: lowest eigenvalue -1.250e-01"),
+], ids=["3x3", "vector", "nan", "inf", "trace_entry", "alice", "bob", "correlation",
+        "trace", "not_psd", "outside_tetrahedron"])
+def test_from_coefficients_rejects(c, message):
+    with pytest.raises(ValueError) as exc:
+        TwoQubitState.from_coefficients(c)
+    assert str(exc.value) == message
+
+
+def _drawn_coefficients(kind, seed):
+    """A valid C of the given kind: a Bell-diagonal triple, the damped
+    closed form, or the image of a Ginibre state under a unital or a
+    damping channel pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "bell":
+        return np.diag((1.0, *random_bell_params(rng).as_tuple()))
+    if kind == "damped":
+        return evolve_closed_form(random_bell_params(rng), rng.uniform()).c
+    s = ginibre_state(rng)
+    if kind == "unital":
+        ch_a, ch_b = sample_unital_local(rng)
+    else:
+        ch_a, ch_b = amplitude_damping(rng.uniform()), amplitude_damping(rng.uniform())
+    return _product_action(ch_a.ptm, s.c, ch_b.ptm)
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["bell", "damped", "unital", "damping"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_from_coefficients_matches_density_constructor(kind, seed):
+    # both constructors read C off rho by one map, so they agree bit for bit
+    s = TwoQubitState.from_coefficients(_drawn_coefficients(kind, seed))
+    t = TwoQubitState(s.rho)
+    assert np.array_equal(t.rho, s.rho)
+    assert np.array_equal(t.c, s.c)
