@@ -49,11 +49,20 @@ def _parse_triple(text: str):
     return tuple(float(p) for p in parts)
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; one nested deeper than the
+    parser's recursion limit is an input error that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_state(arg: str) -> states.TwoQubitState:
     if arg.startswith("bell:"):
         return states.bell_diagonal(_parse_triple(arg[len("bell:"):]))
-    with open(arg) as fh:
-        return states.state_from_json(json.load(fh))
+    return states.state_from_json(_read_json(arg))
 
 
 def _load_channel(arg: str) -> channels.QubitChannel:
@@ -66,8 +75,7 @@ def _load_channel(arg: str) -> channels.QubitChannel:
         if not prob:
             raise ValueError(f"channel {name} needs a parameter, e.g. {name}:0.3")
         return channels._FACTORIES[name](float(prob))
-    with open(arg) as fh:
-        return channels.channel_from_json(json.load(fh))
+    return channels.channel_from_json(_read_json(arg))
 
 
 @contextlib.contextmanager

@@ -78,7 +78,7 @@ def _checked(c: np.ndarray) -> np.ndarray:
         raise ValueError("decomposition entries must be finite")
     dev = abs(c[..., 0, 0] - 1.0)
     if _top(dev) > 1e-9:
-        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {c[..., 0, 0].flat[dev.argmax()]!r}")
+        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {float(c[..., 0, 0].flat[dev.argmax()])!r}")
     sq = c * c
     if math.sqrt(max(_top(sq[..., 1:, 0].sum(-1)), _top(sq[..., 0, 1:].sum(-1)))) > 1 + 1e-9:
         raise ValueError("Bloch vector norm exceeds 1")

@@ -254,6 +254,23 @@ def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag,obj", [
+    ("--state", {"type": "bell_diagonal", "c": "DEEP"}),
+    ("--channel", {"type": "kraus", "ops": "DEEP"}),
+])
+def test_deeply_nested_json_input_is_named(tmp_path, capsys, flag, obj):
+    # deeper than the parser's recursion limit: exit 2 and one line, no traceback
+    depth = sys.getrecursionlimit() + 10
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(obj).replace('"DEEP"', "[" * depth + "0" + "]" * depth))
+    argv = {"--state": ["measure", "--state", str(path)],
+            "--channel": ["decompose", "--channel", str(path)]}[flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize("suite", ["protocol", "gmqd", "monotonicity", "witness", "all"])
 def test_verify_rejects_negative_seed(capsys, suite):
     # the flag is named, and no suite runs

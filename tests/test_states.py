@@ -296,7 +296,7 @@ def _coefficients_with(entries, c00=1.0):
     (np.zeros(4), "coefficient matrix must be 4x4, got (4,)"),
     (np.diag([1.0, np.nan, 0.0, 0.0]), "decomposition entries must be finite"),
     (np.diag([1.0, 0.0, np.inf, 0.0]), "decomposition entries must be finite"),
-    (_coefficients_with({}, c00=1.5), "C[0, 0] must be 1 (unit trace), got np.float64(1.5)"),
+    (_coefficients_with({}, c00=1.5), "C[0, 0] must be 1 (unit trace), got 1.5"),
     (_coefficients_with({(1, 0): 1.5}), "Bloch vector norm exceeds 1"),
     (_coefficients_with({(0, 2): -1.2}), "Bloch vector norm exceeds 1"),
     (_coefficients_with({(1, 2): -1.5}), "correlation matrix entry exceeds 1 in magnitude"),
