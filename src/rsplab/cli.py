@@ -16,30 +16,66 @@ import contextlib
 import dataclasses
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import channels, enhancement, measures, oracles, states
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _round12(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+
+def _fields(obj) -> dict:
+    """The fields of a dataclass instance by name, in order, as they are."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _json_text(x, nl: str) -> str:
+    """JSON text of ``x`` with every float rounded to 12 significant digits,
+    as ``json.dumps`` writes it with an indent of two spaces; ``nl`` is the
+    newline and indent of x's line.
+
+    Takes dicts with string keys, lists, tuples, numpy arrays and scalars,
+    dataclass instances (read field by field), strings, bools, ints, floats
+    and None.
+
+    Raises:
+        TypeError: for any other type, as ``json.dumps`` does.
+    """
     if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.12g}")
-    if isinstance(x, np.ndarray):
-        return _round12(x.tolist())
+        s = f"{float(x):.12g}"
+        return _NONFINITE.get(s) or repr(float(s))
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
     if isinstance(x, (list, tuple)):
-        return [_round12(v) for v in x]
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(x, dict):
-        return {k: _round12(v) for k, v in x.items()}
-    return x
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a string fails in encode_basestring_ascii
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    if x is None:
+        return "null"
+    if isinstance(x, np.ndarray):
+        return _json_text(x.tolist(), nl)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return _json_text(_fields(x), nl)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(_round12(payload), indent=2))
+def _write_json(payload) -> None:
+    """Write payload to stdout as indented JSON, in one write."""
+    sys.stdout.write(_json_text(payload, "\n") + "\n")
 
 
 def _parse_triple(text: str):
@@ -93,17 +129,17 @@ def _output(path):
 
 def _cmd_measure(args) -> int:
     s = _load_state(args.state)
-    _print_json(dataclasses.asdict(measures.measure_pair(s)))
+    _write_json(measures.measure_pair(s))
     return 0
 
 
 def _cmd_decompose(args) -> int:
     if args.state:
         s = _load_state(args.state)
-        _print_json({"a": s.a, "b": s.b, "e": s.e})
+        _write_json({"a": s.a, "b": s.b, "e": s.e})
     else:
         fac = channels.factorize(_load_channel(args.channel))
-        _print_json({"r1": fac.r1, "r2": fac.r2, "diag": fac.diag,
+        _write_json({"r1": fac.r1, "r2": fac.r2, "diag": fac.diag,
                      "sign": fac.sign, "d": fac.d})
     return 0
 
@@ -118,8 +154,8 @@ def _cmd_apply(args) -> int:
     else:
         ch_b = _load_channel(args.channel_b)
     out = channels.apply_local(ch_a, ch_b, s)
-    _print_json({"state": states.state_to_json(out),
-                 "measures": dataclasses.asdict(measures.measure_pair(out))})
+    _write_json({"state": states.state_to_json(out),
+                 "measures": measures.measure_pair(out)})
     return 0
 
 
@@ -134,13 +170,14 @@ def _cmd_evolve(args) -> int:
 def _cmd_enhance(args) -> int:
     c = _parse_triple(args.c)
     rep = enhancement.enhance_report(c)
-    payload = dataclasses.asdict(rep)
+    payload = rep
     if rep.enhancible:
         p_best, f_best = enhancement.sweep_best_p(c)
-        payload["sweep"] = {"p_best": p_best, "f_best": f_best,
-                            "p_gap": abs(p_best - rep.p_opt),
-                            "f_gap": f_best - rep.f_after}
-    _print_json(payload)
+        payload = {**_fields(rep),
+                   "sweep": {"p_best": p_best, "f_best": f_best,
+                             "p_gap": abs(p_best - rep.p_opt),
+                             "f_gap": f_best - rep.f_after}}
+    _write_json(payload)
     return 0
 
 
@@ -191,7 +228,7 @@ def _cmd_verify(args) -> int:
         # an internal check failed, so no verdict exists; the input was valid
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_json({label: rep.as_dict() for label, rep in reports})
+    _write_json({label: rep.as_dict() for label, rep in reports})
     failed = [(label, rep) for label, rep in reports if not rep.passed]
     for label, rep in failed:
         print(f"verification failed: {label}: {rep.worst_case}", file=sys.stderr)
@@ -265,15 +302,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None  # built by the first main call; parse_args leaves it unchanged
+_PARSER = None  # built by the first main call; parsing leaves it unchanged
+_SUBPARSERS = {}  # the parser of each subcommand within _PARSER, by name
+
+
+def _parse(argv):
+    """The namespace of argv.  The top-level parser only hands an argv
+    that names a subcommand first to that subcommand's parser, so such an
+    argv goes there directly, unless it holds "--" or leaves arguments
+    over; any other argv goes through the top-level parser.  Usage, help
+    and error text are the same on both routes."""
+    sub = _SUBPARSERS.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command; the parser is built once per process and reused."""
-    global _PARSER
+    global _PARSER, _SUBPARSERS
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+        # argparse has no public accessor for the subcommand parsers
+        _SUBPARSERS = next(action.choices for action in _PARSER._actions
+                           if isinstance(action, argparse._SubParsersAction))
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

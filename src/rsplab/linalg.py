@@ -35,7 +35,8 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
     Raises:
         ValueError: naming ``what`` if ``value`` holds anything but ints
             and floats (for example a JSON null, a string, a boolean, an
-            object or a ragged list) or has another shape.
+            object or a ragged list), has another shape, or holds an int
+            too large for a float.
     """
     try:
         arr = np.array(value, dtype=object)
@@ -45,7 +46,10 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
     # its own type, so a type test excludes it
     if arr is None or arr.shape != shape or not {type(x) for x in arr.flat} <= {int, float}:
         raise ValueError(f"{what} must be numbers of shape {shape}, got {value!r}")
-    return arr.astype(float)
+    try:
+        return arr.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
 
 
 def probability(p, what: str = "probability") -> float:

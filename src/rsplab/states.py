@@ -114,12 +114,17 @@ def _coefficients(rho: np.ndarray) -> np.ndarray:
     if not np.isfinite(rho).all():
         raise ValueError("density matrix entries must be finite")
     rho_dag = rho.swapaxes(-1, -2).conj()
-    herm_dev = abs(rho - rho_dag).max()
-    if herm_dev > DEFAULT_TOL:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
-    herm = rho + rho_dag
-    herm *= 0.5
-    coeff = _read_off(rho, herm)
+    # entries near the float maximum make the difference and the trace
+    # overflow to inf, which the messages then report; halving before the
+    # sum keeps herm finite, and equal to (rho + rho_dag) / 2 above the
+    # subnormal range
+    with np.errstate(over="ignore"):
+        herm_dev = abs(rho - rho_dag).max()
+        if herm_dev > DEFAULT_TOL:
+            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
+        herm = 0.5 * rho
+        herm += 0.5 * rho_dag
+        coeff = _read_off(rho, herm)
     imag = abs(coeff.imag).max()
     if imag > DEFAULT_TOL:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")

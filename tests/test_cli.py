@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rsplab
 from rsplab import cli
@@ -204,17 +208,12 @@ def test_verify_gmqd_small(capsys):
     assert payload["gmqd"]["seed"] == 5
 
 
-def test_bad_inputs_exit_2(tmp_path, capsys):
-    assert main(["enhance", "--c=1,2"]) == 2
-    capsys.readouterr()
-    assert main(["measure", "--state", "no_such_file.json"]) == 2
-    capsys.readouterr()
-    assert main(["apply", "--state", "bell:0,0,0",
-                 "--channel-a", "identity:0.3"]) == 2
-    capsys.readouterr()
-    assert main(["measure", "--state", "bell:0.1,0.2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
+def _bad_input_argvs(tmp_path):
+    """Commands with bad inputs, inline and in files written to tmp_path."""
+    argvs = [["enhance", "--c=1,2"],
+             ["measure", "--state", "no_such_file.json"],
+             ["apply", "--state", "bell:0,0,0", "--channel-a", "identity:0.3"],
+             ["measure", "--state", "bell:0.1,0.2"]]
     bad_files = [
         ("--state", {"type": "bell_diagonal", "c": 5}),
         ("--channel-a", {"type": "amplitude_damping", "p": None}),
@@ -226,6 +225,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         argv = ["apply", "--state", "bell:0,0,0", "--channel-a", "identity"]
         argv[argv.index(flag) + 1] = str(path)
+        argvs.append(argv)
+    return argvs
+
+
+def test_bad_inputs_exit_2(tmp_path, capsys):
+    for argv in _bad_input_argvs(tmp_path):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
@@ -240,9 +245,17 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     ("--channel-a", {"type": "kraus", "ops": [{"re": [[1.0, 0.0], [0.0, 1.0]],
                                                "im": [[0.0, math.nan], [0.0, 0.0]]}]},
      "Kraus operator entries must be finite"),
+    ("--state", {"type": "bell_diagonal", "c": [10 ** 400, 0, 0]},
+     "bell_diagonal field 'c' holds an integer too large for a float"),
+    ("--channel", {"type": "amplitude_damping", "p": 10 ** 400},
+     "channel field 'p' holds an integer too large for a float"),
+    ("--state", {"type": "dense", "re": np.full((4, 4), 1e308).tolist(),
+                 "im": np.zeros((4, 4)).tolist()}, "trace differs from 1 by inf"),
 ])
 def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
-    # NaN passes every tolerance test, so it must be named before any eigensolve
+    # NaN passes every tolerance test, so it must be named before any
+    # eigensolve; an int beyond float range, or a finite entry whose sums
+    # overflow, gives one line too (pytest turns a numpy warning into an error)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     argv = {"--state": ["measure", "--state", str(path)],
@@ -492,13 +505,12 @@ def test_evolve_rejects_nonfinite_gamma_t_max(capsys, value):
                             f"got {float(value)}\n")
 
 
-def test_parser_reuse_keeps_no_state(tmp_path, monkeypatch):
-    # each call on the parser main reuses matches the same argv on a fresh one
+def _reuse_sequence(out_file):
+    """Commands that would leak state from one parse to the next, if any did."""
     evolve = ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "3"]
     apply = ["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", "identity"]
     measure = ["measure", "--state", "bell:0.5,0,-0.5"]
-    out_file = tmp_path / "trace.csv"
-    sequence = [
+    return [
         evolve + ["--steps", "11"], evolve,
         apply + ["--channel-b", "amplitude_damping:0.3"], apply,
         evolve + ["--steps", "11", "--out", str(out_file)], evolve + ["--steps", "11"],
@@ -507,6 +519,12 @@ def test_parser_reuse_keeps_no_state(tmp_path, monkeypatch):
         ["decompose", "--state", "bell:0,0,0", "--channel", "identity"],
         ["decompose", "--state", "bell:0.5,0,-0.5"],
     ]
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, monkeypatch):
+    # each call on the parser main reuses matches the same argv on a fresh one
+    out_file = tmp_path / "trace.csv"
+    sequence = _reuse_sequence(out_file)
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
@@ -540,6 +558,28 @@ def test_main_builds_parser_once(monkeypatch):
     assert len(built) <= 1
 
 
+def test_direct_dispatch_matches_full_parser(tmp_path, monkeypatch):
+    # the top-level parser alone, forced by an empty subcommand lookup, gives
+    # the same exit code, stdout and stderr, usage and error text included
+    argvs = _bad_input_argvs(tmp_path) + _reuse_sequence(tmp_path / "trace.csv") + [
+        [], ["-h"], ["measure", "-h"], ["measure", "--sta", "bell:0,0,0"],
+        ["measure", "--state", "bell:0,0,0", "extra"],
+        ["measure", "--", "--state", "bell:0,0,0"],
+        ["decompose", "--state", "bell:0,0,0", "--channel", "identity"],
+        ["frobnicate"],
+    ]
+    direct = [_run(argv) for argv in argvs]
+    good = [argv for argv, (rc, _, _) in zip(argvs, direct) if rc == 0 and "-h" not in argv]
+    parsed = [cli._parse(argv) for argv in good]
+    assert set(cli._SUBPARSERS) == {"measure", "decompose", "apply", "evolve", "enhance",
+                                    "scan", "profile", "verify"}
+    monkeypatch.setattr(cli, "_SUBPARSERS", {})
+    assert [_run(argv) for argv in argvs] == direct
+    assert [cli._parse(argv) for argv in good] == parsed
+    assert ["--sta", "bell:0,0,0"] in [argv[1:] for argv in good]
+    assert all(args.command == argv[0] for argv, args in zip(good, parsed))
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -556,18 +596,27 @@ def test_byte_identical_repeat(capsys):
 
 def _run_python(*args):
     """Run the interpreter on the package under test, whether or not it is
-    installed."""
+    installed; stdout and stderr are bytes."""
     src = os.path.dirname(os.path.dirname(rsplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           timeout=120, env=env)
 
 
 def test_module_entry_point():
-    proc = _run_python("-m", "rsplab", "measure", "--state", "bell:0.5,0,-0.5")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["f_rsp"] == 0.125
+    # the real stdout gets the same bytes as in-process main, and the CLI
+    # path raises no warning that -W error would turn into a traceback
+    for argv in (["measure", "--state", "bell:0.5,0,-0.5"],
+                 ["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", "amplitude_damping:0.3",
+                  "--channel-b", "amplitude_damping:0.3"],
+                 ["verify", "--suite", "witness"]):
+        rc, out, err = _run(argv)
+        assert rc == 0 and err == ""
+        proc = _run_python("-W", "error", "-m", "rsplab", *argv)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == out.encode()
 
 
 def test_verify_seeding_guard_exits_1():
@@ -577,6 +626,86 @@ def test_verify_seeding_guard_exits_1():
               "sys.exit(cli.main(sys.argv[1:]))")
     proc = _run_python("-c", script, "verify", "--suite", "monotonicity", "--trials", "3")
     assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: seeding differs from default_rng([seed, 0]) "
-                           f"of numpy {np.__version__}\n")
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == ("error: seeding differs from default_rng([seed, 0]) "
+                                    f"of numpy {np.__version__}\n")
+
+
+# --- the JSON emitter ----------------------------------------------------------
+
+def _round12(x):
+    """The payload that json.dumps printed before the CLI had its own
+    emitter: floats rounded to 12 significant digits, containers and numpy
+    values made plain, dataclasses converted by dataclasses.asdict."""
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.12g}")
+    if isinstance(x, np.ndarray):
+        return _round12(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return [_round12(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _round12(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return _round12(dataclasses.asdict(x))
+    return x
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    first: object
+    second: object
+
+
+# values at the switches of %.12g (1e12) and of repr (1e16 and 1e-5), and
+# where the 12-digit rounding carries into a new decade
+_EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999995e-6,
+                9.9999999999949e-6, 1e12, 999999999999.5, 999999999999.4,
+                1e16, 9999999999999998.0, 9.9999999999995e15, 1.7976931348623157e308,
+                0.1, 0.125, 1.0, 123456789012345.0, 0.30000000000000004]
+
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(9e15, 1.1e16), st.floats(9e-6, 1.1e-5), st.floats(9e11, 1.1e12))
+_leaves = st.one_of(
+    _floats, st.integers(), st.booleans(), st.none(), st.text(),
+    st.sampled_from(['"', "\\", "\u00e9\u4e2d", "\n\t\x00", "\ud83d\ude00"]),
+    _floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                            st.builds(_Report, inner, inner)),
+    max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(_payloads)
+def test_emitter_matches_json_dumps_of_rounded_payload(payload):
+    assert cli._json_text(payload, "\n") == json.dumps(_round12(payload), indent=2)
+
+
+def test_emitter_writes_payload_and_newline_at_once(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+    report = rsplab.measure_pair(bell_diagonal(0.5, 0.0, -0.5))
+    cli._write_json({"measures": report, "e": np.eye(2), "ok": True})
+    assert writes == [json.dumps(_round12({"measures": report, "e": np.eye(2), "ok": True}),
+                                 indent=2) + "\n"]
+
+
+@pytest.mark.parametrize("payload", [1j, np.bool_(True), {1, 2}, object(), np.complex128(1.0),
+                                     [0.5, {"x": b"bytes"}], np.array([1j]), {(1, 2): 0.5}])
+def test_emitter_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        json.dumps(_round12(payload), indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(payload, "\n")

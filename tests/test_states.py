@@ -70,6 +70,26 @@ def test_decompose_rejects_non_psd():
         TwoQubitState(rho)
 
 
+def _block(upper, lower):
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
+    rho[0, 1], rho[1, 0] = upper, lower
+    return rho
+
+
+@pytest.mark.parametrize("rho,message", [
+    (np.full((4, 4), 1e308), "trace differs from 1 by inf"),
+    (np.diag([1e308, -1e308, 0.5, 0.5]), "not positive semidefinite: lowest eigenvalue -1.000e+308"),
+    (_block(1e308, 1e308), "not positive semidefinite: lowest eigenvalue -1.000e+308"),
+    (_block(1e308, -1e308), "not Hermitian: max |rho - rho^dag| = inf"),
+])
+def test_huge_finite_entries_give_one_message(rho, message):
+    # sums of entries near the float maximum overflow: the check names the
+    # result, without a numpy warning (an error under pytest) or a failed eigensolve
+    with pytest.raises(ValueError) as exc:
+        TwoQubitState(rho)
+    assert str(exc.value) == message
+
+
 def test_compose_zero_is_maximally_mixed():
     s = TwoQubitState.from_coefficients(np.diag([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(s.rho, np.eye(4) / 4)
