@@ -1,4 +1,4 @@
-"""Qubit channels: Pauli transfer matrix, Kraus and Choi forms, factorization.
+"""Qubit channels: Pauli transfer matrix, built from Kraus operators; factorization.
 
 A channel acts on single-qubit states; on Bloch vectors it is the
 affine map r -> t + T r.  Every channel is stored as its Pauli transfer
@@ -7,8 +7,7 @@ matrix M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2, the real 4x4 matrix
 product channel acts on a state's coefficient matrix C (see ``states``)
 as C -> M_A C M_B^T, which is how ``apply_local`` applies it.
 Channels are built from Kraus operators: ``QubitChannel.from_kraus``
-reads M off their Choi matrix, and an affine pair (t, T) enters through
-``affine_to_kraus``, which checks complete positivity on its Choi matrix.
+reads M off their Choi matrix, which it checks for complete positivity.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form used for the unital-monotonicity analysis.
 The Kraus-to-M core and the construction of random unital channels
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import CHOI_TOL, DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import TwoQubitState
 
 
@@ -47,62 +46,23 @@ def choi_from_kraus(kraus) -> np.ndarray:
     return np.einsum("...kx,...ky->...xy", v, v.conj())
 
 
-def choi_from_affine(t, tmat) -> np.ndarray:
-    """Choi matrix of the affine map, no CP check.
-
-    The affine action extends to all 2x2 inputs by complex linearity:
-    X = x0 I + x.sigma maps to x0 I + (x0 t + T x).sigma.  Useful for
-    testing maps that are not channels (the Choi then fails PSD).
-    """
-    m = np.zeros((4, 4))  # the Pauli transfer matrix 1 (+) (t, T)
-    m[0, 0] = 1.0
-    m[1:, 0] = np.asarray(t, dtype=float).reshape(3)
-    m[1:, 1:] = np.asarray(tmat, dtype=float).reshape(3, 3)
-    # Phi(|i><j|) = sum_{mu nu} M[mu, nu] sigma_nu[j, i] sigma_mu / 2
-    choi = np.einsum("mn,nji,mab->iajb", m, PAULI_BASIS, PAULI_BASIS)
-    return 0.5 * choi.reshape(4, 4)
-
-
-def affine_to_kraus(t, tmat):
-    """Kraus operators of a CP affine map via Choi eigendecomposition.
-
-    Raises:
-        ValueError: if the Choi matrix is not PSD within 1e-9 (the map
-            is not completely positive).
-    """
-    c = choi_from_affine(t, tmat)
-    vals, vecs = np.linalg.eigh(c)
-    if vals[0] < -CHOI_TOL:
-        raise ValueError(f"map is not completely positive: Choi eigenvalue {vals[0]:.3e}")
-    kraus = []
-    for val, vec in zip(vals, vecs.T):
-        if val > 1e-12:
-            kraus.append(np.sqrt(val) * vec.reshape(2, 2).T)
-    return kraus
-
-
 class QubitChannel:
     """Immutable qubit channel stored as its Pauli transfer matrix.
 
+    ``QubitChannel(ptm)`` takes a transfer matrix as it is; ``from_kraus``
+    builds and checks one.
+
     Attributes:
-        kraus: tuple of 2x2 operators the channel was built from.
-        ptm: the real 4x4 Pauli transfer matrix 1 (+) (t, T).
+        ptm: the real 4x4 Pauli transfer matrix 1 (+) (t, T), read-only.
         affine: the AffineRep (t, T), read-only views into ``ptm``.
-        choi: 4x4 Choi matrix, PSD within 1e-9, trace 2.
     """
 
-    __slots__ = ("kraus", "ptm", "choi")
+    __slots__ = ("ptm",)
 
-    def __init__(self, kraus, ptm: np.ndarray, choi: np.ndarray):
-        # one read-only copy of each; the Kraus operators are views of one stack
-        kraus = np.array(kraus, dtype=complex).reshape(-1, 2, 2)
-        ptm = np.array(ptm, dtype=float)
-        choi = np.array(choi, dtype=complex)
-        for arr in (kraus, ptm, choi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "kraus", tuple(kraus))
+    def __init__(self, ptm: np.ndarray):
+        ptm = np.array(ptm, dtype=float)  # a read-only copy
+        ptm.setflags(write=False)
         object.__setattr__(self, "ptm", ptm)
-        object.__setattr__(self, "choi", choi)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QubitChannel is immutable: cannot set {name!r}")
@@ -131,12 +91,12 @@ class QubitChannel:
         for k in ops:
             if k.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
-        kraus = np.array(ops)
-        return cls(kraus, *_kraus_ptm(kraus))
+        return cls(_kraus_ptm(np.array(ops)))
 
     def __repr__(self):
-        t_norm = np.linalg.norm(self.affine.t)
-        return f"QubitChannel({len(self.kraus)} Kraus ops, |t|={t_norm:.4f})"
+        t, tmat = self.affine
+        return (f"QubitChannel(|t|={np.linalg.norm(t):.4f}, "
+                f"|T|_F={np.linalg.norm(tmat):.4f})")
 
 
 # M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2 with Phi(|i><j|)[a, b] =
@@ -146,8 +106,8 @@ _CHOI_TO_PTM.setflags(write=False)
 
 
 def _kraus_ptm(kraus: np.ndarray):
-    """Checked transfer and Choi matrices (..., 4, 4) of trace-preserving
-    Kraus sets (..., k, 2, 2): the batched core of ``from_kraus``.
+    """Checked transfer matrices (..., 4, 4) of trace-preserving Kraus
+    sets (..., k, 2, 2): the batched core of ``from_kraus``.
 
     Both the trace-preservation sum and the transfer matrix are read off
     the Choi matrix, which is computed once.  In exact arithmetic a finite
@@ -181,7 +141,7 @@ def _kraus_ptm(kraus: np.ndarray):
     # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
     ptm = m.real.copy()
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
-    return ptm, choi
+    return ptm
 
 
 def _product_action(m_a, c, m_b) -> np.ndarray:
@@ -430,7 +390,7 @@ def _pauli_sandwiches(u_a, u_b) -> np.ndarray:
 
 
 def _unital_channels(w, axes, angles):
-    """Kraus sets, transfer and Choi matrices of the unital channels with
+    """Transfer matrices (..., 4, 4) of the unital channels with
     parameters from ``_unital_params``, batched over leading axes of
     w (..., 4), axes (..., 2, 3) and angles (..., 2).
 
@@ -439,11 +399,11 @@ def _unital_channels(w, axes, angles):
     """
     u = linalg.su2_axis_angle(axes, angles)
     kraus = np.sqrt(w)[..., None, None] * _pauli_sandwiches(u[..., 0, :, :], u[..., 1, :, :])
-    ptm, choi = _kraus_ptm(kraus)
+    ptm = _kraus_ptm(kraus)
     t = ptm[..., 1:, 0]
     if (np.sqrt((t * t).sum(-1)) > 1e-12).any():  # |t| as np.linalg.norm rounds it
         raise RuntimeError("sampled channel failed unitality")
-    return kraus, ptm, choi
+    return ptm
 
 
 def sample_unital_local(seed) -> tuple:
@@ -455,8 +415,7 @@ def sample_unital_local(seed) -> tuple:
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draws = np.array([_unital_draw(rng), _unital_draw(rng)])
-    kraus, ptm, choi = _unital_channels(*_unital_params(draws))
-    return tuple(QubitChannel(k, m, c) for k, m, c in zip(kraus, ptm, choi))
+    return tuple(QubitChannel(m) for m in _unital_channels(*_unital_params(draws)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,19 @@ def _parse_triple(text: str):
 
 def _read_json(path: str):
     """The JSON document in the file at ``path``; one nested deeper than the
-    parser's recursion limit is an input error that names the file."""
+    parser's recursion limit, or with an integer literal longer than
+    Python converts, is an input error that names the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # int() of a literal past sys.get_int_max_str_digits(), inside the parser
+            if "integer string conversion" not in str(exc):
+                raise
+            raise ValueError(f"{path}: JSON integer literal too long (more than "
+                             f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def _load_state(arg: str) -> states.TwoQubitState:

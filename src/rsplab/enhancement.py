@@ -533,37 +533,6 @@ def write_trace_csv(trace: EvolutionTrace, fh) -> None:
         fh.write(f"# zero_touch gamma_t={gt:.12g}\n")
 
 
-def parse_trace_csv(text: str) -> EvolutionTrace:
-    """Inverse of write_trace_csv, validating the schema."""
-    rows = []
-    events = []
-    touches = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "gamma_t,p,f_rsp,d_g":
-        raise ValueError("missing trace CSV header")
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            parts = ln[1:].split()
-            if parts[0] == "sudden_change":
-                fields = dict(kv.split("=", 1) for kv in parts[1:])
-                events.append(SuddenChange(gamma_t=float(fields["gamma_t"]),
-                                           measure=fields["measure"]))
-            elif parts[0] == "zero_touch":
-                fields = dict(kv.split("=", 1) for kv in parts[1:])
-                touches.append(float(fields["gamma_t"]))
-            else:
-                raise ValueError(f"unknown comment line: {ln!r}")
-            continue
-        vals = [float(x) for x in ln.split(",")]
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 columns, got {len(vals)}")
-        rows.append(vals)
-    arr = np.array(rows)
-    return EvolutionTrace(gamma_t=arr[:, 0], p=arr[:, 1], f_rsp=arr[:, 2],
-                          d_g=arr[:, 3], sudden_changes=tuple(events),
-                          zero_touches=tuple(touches))
-
-
 # ---------------------------------------------------------------------------
 # Region scan and profile sweep
 
@@ -646,24 +615,6 @@ def scan_summary_lines(result: ScanResult):
         lines.append(f"symmetry map={name} holds={'true' if info['holds'] else 'false'} "
                      f"mismatches={info['mismatches']} checked={info['checked']}")
     return lines
-
-
-def parse_scan_csv(text: str):
-    """Rows of the scan CSV as (points array, bool flags)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "c1,c2,c3,enhancible":
-        raise ValueError("missing scan CSV header")
-    pts = []
-    flags = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != 4 or parts[3] not in ("true", "false"):
-            raise ValueError(f"bad scan row: {ln!r}")
-        pts.append([float(x) for x in parts[:3]])
-        flags.append(parts[3] == "true")
-    return np.array(pts), np.array(flags, dtype=bool)
 
 
 def profile_line(n: int = 201) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 CHOI_TOL = 1e-9  # PSD tolerance of Choi matrices, built as sums of v v^dag
+_ECHO_CHARS = 200  # characters of a rejected value that an error message repeats
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,7 +37,8 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
         ValueError: naming ``what`` if ``value`` holds anything but ints
             and floats (for example a JSON null, a string, a boolean, an
             object or a ragged list), has another shape, or holds an int
-            too large for a float.
+            too large for a float.  The message repeats at most the first
+            200 characters of the value's repr.
     """
     try:
         arr = np.array(value, dtype=object)
@@ -45,7 +47,10 @@ def real_array(value, shape: tuple, what: str) -> np.ndarray:
     # JSON numbers parse as int and float; bool is a subclass of int, but
     # its own type, so a type test excludes it
     if arr is None or arr.shape != shape or not {type(x) for x in arr.flat} <= {int, float}:
-        raise ValueError(f"{what} must be numbers of shape {shape}, got {value!r}")
+        text = repr(value)
+        if len(text) > _ECHO_CHARS:
+            text = text[:_ECHO_CHARS] + "..."
+        raise ValueError(f"{what} must be numbers of shape {shape}, got {text}")
     try:
         return arr.astype(float)
     except OverflowError:
@@ -84,28 +89,11 @@ def psd_check(h: np.ndarray) -> bool:
     return bool((np.linalg.eigvalsh(herm)[..., 0] >= -CHOI_TOL).all())
 
 
-def rotation_axis_angle(axis, angle: float) -> np.ndarray:
-    """Proper rotation about a unit axis by ``angle`` radians (Rodrigues).
-
-    Raises:
-        ValueError: if ``axis`` is not unit length within 1e-12.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"axis must be unit length, |axis| = {norm!r}")
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def su2_axis_angle(axis, angle) -> np.ndarray:
     """SU(2) elements exp(-i*angle/2 * axis.sigma) for unit axes.
 
     Batched: axes (..., 3) and angles (...) give matrices (..., 2, 2).
-    The adjoint action on Bloch vectors is ``rotation_axis_angle(axis, angle)``.
+    The adjoint action on Bloch vectors is the rotation by ``angle`` about ``axis``.
 
     Raises:
         ValueError: if an axis is not unit length within 1e-12 (the

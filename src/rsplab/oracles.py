@@ -355,7 +355,7 @@ def _unital_rises(g, w, axes, angles) -> np.ndarray:
     ``apply_local`` validate them.
     """
     c = states._coefficients(_normalized_gram(g))
-    _, ptm, _ = channels._unital_channels(w, axes, angles)
+    ptm = channels._unital_channels(w, axes, angles)
     _, after = states._composed(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
     f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]

@@ -1,14 +1,14 @@
-"""The package's public surface: every public name has a caller or a reason."""
+"""The package's public surface: every public name has a caller or a reason;
+and the tests' references stay apart from the package."""
 
 import ast
 import pathlib
 
+import references
 import rsplab
 
 # Public names that no module of the package uses, each with why it stays.
 KEEP = {
-    "affine_to_kraus": "the tests' independent route from (t, T) to a channel",
-    "rotation_axis_angle": "the tests' independent reference for su2_axis_angle",
     "sample_unital_local": "the single-pair sampler the benchmark times and the "
                            "monotonicity suite's draws are tested against",
     "evolve_closed_form": "acceptance criterion 04 compares it with apply_local",
@@ -18,9 +18,12 @@ KEEP = {
     "f_under_damping": "the documented scalar API of the damped fidelity",
     "dg_under_damping": "the documented scalar API of the damped discord",
     "is_enhancible": "the documented scalar API of the enhancement verdict",
-    "parse_trace_csv": "the reader the CLI tests run on evolve's output",
-    "parse_scan_csv": "the reader the CLI tests run on scan's output",
 }
+
+# What tests/references.py may import from the package: the result types
+# that its trace reader rebuilds.
+REFERENCE_IMPORTS = {("rsplab.enhancement", "EvolutionTrace"),
+                     ("rsplab.enhancement", "SuddenChange")}
 
 
 def _unused_public_names():
@@ -52,3 +55,14 @@ def test_public_names_are_used_or_kept():
     assert _unused_public_names() == set(KEEP)
     for name in rsplab.__all__:
         assert hasattr(rsplab, name), name
+
+
+def test_references_import_nothing_else_from_the_package():
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(references.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert {(module, name) for module, name in imported
+            if module and module.split(".")[0] == "rsplab"} == REFERENCE_IMPORTS

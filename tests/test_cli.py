@@ -17,9 +17,10 @@ from hypothesis.extra import numpy as hnp
 import rsplab
 from rsplab import cli
 from rsplab.cli import build_parser, main
-from rsplab.enhancement import (is_enhancible, p_opt, parse_scan_csv,
-                                parse_trace_csv)
+from rsplab.enhancement import is_enhancible, p_opt
 from rsplab.states import bell_diagonal, state_to_json
+
+from references import parse_scan_csv, parse_trace_csv
 
 
 def run_json(capsys, argv):
@@ -219,10 +220,13 @@ def _bad_input_argvs(tmp_path):
         ("--channel-a", {"type": "amplitude_damping", "p": None}),
         ("--channel-a", {"type": "kraus", "ops": [1]}),
         ("--channel-a", {"type": ["kraus"]}),
+        ("--state", {"type": "bell_diagonal", "c": [0.1] * 300_000}),
+        # past Python's limit on int() of a digit string; json.dumps cannot write it
+        ("--state", '{"type": "bell_diagonal", "c": [1' + "0" * 5000 + ', 0, 0]}'),
     ]
     for i, (flag, obj) in enumerate(bad_files):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         argv = ["apply", "--state", "bell:0,0,0", "--channel-a", "identity"]
         argv[argv.index(flag) + 1] = str(path)
         argvs.append(argv)
@@ -230,11 +234,18 @@ def _bad_input_argvs(tmp_path):
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
+    errors = []
     for argv in _bad_input_argvs(tmp_path):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        # one short line, however long the input: the value is echoed in part
+        assert captured.err.count("\n") == 1 and len(captured.err) <= 300
         assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[-2].endswith(" got " + repr([0.1] * 300_000)[:200] + "...\n")
+    assert errors[-1] == (f"error: {tmp_path / 'bad5.json'}: JSON integer literal too long "
+                          f"(more than {sys.get_int_max_str_digits()} digits)\n")
 
 
 @pytest.mark.parametrize("flag,obj,message", [

@@ -23,8 +23,6 @@ from rsplab.enhancement import (
     f_under_damping,
     is_enhancible,
     p_opt,
-    parse_scan_csv,
-    parse_trace_csv,
     profile_line,
     q1,
     scan_tetrahedron,
@@ -35,6 +33,8 @@ from rsplab.enhancement import (
 )
 from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.states import BellDiagonalParams, bell_diagonal, bell_eigenvalues
+
+from references import parse_scan_csv, parse_trace_csv
 
 ZERO_TOUCH_GT = -math.log(2.0 - math.sqrt(2.0))        # 0.534799996739...
 SUDDEN_GT = -math.log((5.0 - math.sqrt(17.0)) / 2.0)   # 0.824515914124...

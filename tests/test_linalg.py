@@ -12,10 +12,11 @@ from rsplab.linalg import (
     is_unitary,
     probability,
     psd_check,
-    rotation_axis_angle,
     su2_axis_angle,
 )
 from rsplab.states import state_from_json
+
+from references import rotation_axis_angle
 
 RNG = np.random.default_rng(20240817)
 

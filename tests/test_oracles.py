@@ -234,9 +234,9 @@ def test_unital_draws_match_uniform_and_normal_calls(seed):
     for got_x, ref_x in zip(got[1:], zip(*ref_params)):
         assert np.array_equal(got_x, np.array(ref_x))
     # sample_unital_local draws its pair the same way
-    kraus, ptm, _ = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
-    for ch, k, m in zip(sample_unital_local(seed), kraus, ptm):
-        assert np.array_equal(np.stack(ch.kraus), k) and np.array_equal(ch.ptm, m)
+    ptm = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
+    for ch, m in zip(sample_unital_local(seed), ptm):
+        assert np.array_equal(ch.ptm, m)
 
 
 # seeds of 1 to 5 and of 16 uint32 words, a numpy integer among them
@@ -285,13 +285,12 @@ def test_suite_channels_match_sample_unital_local():
     # from the same generator after the state's draws
     seed, n = 6, 25
     draws = np.array([oracles._unital_draws(r) for r in seeding.trial_rngs(seed, 0, n)])
-    kraus, ptm, choi = channels._unital_channels(*oracles._unital_inputs(draws)[1:])
+    ptm = channels._unital_channels(*oracles._unital_inputs(draws)[1:])
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         ginibre_state(rng)
         for k, ch in enumerate(sample_unital_local(rng)):
-            assert np.array_equal(np.stack(ch.kraus), kraus[i, k])
-            assert np.array_equal(ch.ptm, ptm[i, k]) and np.array_equal(ch.choi, choi[i, k])
+            assert np.array_equal(ch.ptm, ptm[i, k])
 
 
 def test_monotonicity_suite_independent_of_chunking(monkeypatch):

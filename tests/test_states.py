@@ -21,6 +21,8 @@ from rsplab.states import (
     state_to_json,
 )
 
+from references import rotation_axis_angle
+
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 SINGLET_KET = (np.kron(KET0, KET1) - np.kron(KET1, KET0)) / np.sqrt(2.0)
@@ -173,7 +175,6 @@ def test_local_unitary_identity():
 
 def test_local_unitary_transforms_decomposition():
     rng = np.random.default_rng(5)
-    from rsplab.linalg import rotation_axis_angle
     for _ in range(30):
         s = random_state(rng)
         ax1 = rng.normal(size=3)
