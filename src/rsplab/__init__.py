@@ -41,7 +41,6 @@ from .enhancement import (
 )
 from .measures import MeasureReport, gmqd, measure_pair, rsp_fidelity
 from .oracles import (
-    OracleConfig,
     OracleReport,
     discord_raising_check,
     gmqd_search_oracle,
@@ -67,7 +66,6 @@ __all__ = [
     "EnhanceReport",
     "EvolutionTrace",
     "MeasureReport",
-    "OracleConfig",
     "OracleReport",
     "QubitChannel",
     "TwoQubitState",

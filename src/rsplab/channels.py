@@ -203,17 +203,6 @@ def bit_phase_flip(p: float) -> QubitChannel:
     return QubitChannel.from_kraus([np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_Y])
 
 
-# The builtin channels with a probability parameter, by the name that the
-# JSON "type" field and the command line give them.
-_FACTORIES = {
-    "amplitude_damping": amplitude_damping,
-    "depolarizing": depolarizing,
-    "bit_flip": bit_flip,
-    "phase_flip": phase_flip,
-    "bit_phase_flip": bit_phase_flip,
-}
-
-
 @functools.cache
 def discord_raising() -> QubitChannel:
     """The local map sending |0><0| to itself and |1><1| to |+><+|: one
@@ -221,6 +210,27 @@ def discord_raising() -> QubitChannel:
     k0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     k1 = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2.0)
     return QubitChannel.from_kraus([k0, k1])
+
+
+# The builtin channels by the name that the JSON "type" field and the
+# command line give them: those with a probability parameter, then those
+# without one.
+_FACTORIES = {
+    "amplitude_damping": amplitude_damping,
+    "depolarizing": depolarizing,
+    "bit_flip": bit_flip,
+    "phase_flip": phase_flip,
+    "bit_phase_flip": bit_phase_flip,
+}
+_CONSTANTS = {"identity": identity_channel, "discord_raising": discord_raising}
+
+
+def builtin_factory(name: str):
+    """(factory, whether it takes a probability) of the builtin channel
+    called ``name``, or (None, False) if no builtin has that name."""
+    if name in _FACTORIES:
+        return _FACTORIES[name], True
+    return _CONSTANTS.get(name), False
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +436,21 @@ def channel_from_json(obj) -> QubitChannel:
 
     Schema: {"type":"amplitude_damping","p":...} | {"type":"depolarizing"
     |"bit_flip"|"phase_flip"|"bit_phase_flip","p":...} |
-    {"type":"discord_raising"} | {"type":"kraus","ops":[{"re":[[..]],
-    "im":[[..]]},...]}.
+    {"type":"identity"|"discord_raising"} | {"type":"kraus","ops":[{"re":
+    [[..]],"im":[[..]]},...]}.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("channel JSON must be an object with a 'type' key")
     kind = obj["type"]
     if not isinstance(kind, str):
         raise ValueError(f"channel type must be a string, got {kind!r}")
-    if kind in _FACTORIES:
-        return _FACTORIES[kind](_json_prob(obj))
-    if kind == "discord_raising":
-        return discord_raising()
+    factory, takes_p = builtin_factory(kind)
+    if takes_p:
+        return factory(_json_prob(obj))
+    if factory:
+        if "p" in obj:
+            raise ValueError(f"channel type {kind!r} takes no 'p' field")
+        return factory()
     if kind == "kraus":
         raw_ops = obj.get("ops")
         if not isinstance(raw_ops, list) or not raw_ops:

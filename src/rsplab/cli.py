@@ -23,6 +23,9 @@ import numpy as np
 from . import channels, enhancement, measures, oracles, states
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Longest input file read: 1 MiB of ASCII JSON, room for a Kraus channel of
+# thousands of operators; a dense state takes under 1 KiB.
+MAX_INPUT_CHARS = 2**20
 
 
 def _fields(obj) -> dict:
@@ -86,20 +89,24 @@ def _parse_triple(text: str):
 
 
 def _read_json(path: str):
-    """The JSON document in the file at ``path``; one nested deeper than the
-    parser's recursion limit, or with an integer literal longer than
-    Python converts, is an input error that names the file."""
+    """The JSON document in the file at ``path``; one longer than
+    ``MAX_INPUT_CHARS`` (read no further), nested deeper than the parser's
+    recursion limit, or with an integer literal longer than Python
+    converts, is an input error that names the file."""
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:
-            # int() of a literal past sys.get_int_max_str_digits(), inside the parser
-            if "integer string conversion" not in str(exc):
-                raise
-            raise ValueError(f"{path}: JSON integer literal too long (more than "
-                             f"{sys.get_int_max_str_digits()} digits)") from None
+        text = fh.read(MAX_INPUT_CHARS + 1)
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"{path}: input file longer than {MAX_INPUT_CHARS} characters")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        # int() of a literal past sys.get_int_max_str_digits(), inside the parser
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"{path}: JSON integer literal too long (more than "
+                         f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def _load_state(arg: str) -> states.TwoQubitState:
@@ -110,14 +117,15 @@ def _load_state(arg: str) -> states.TwoQubitState:
 
 def _load_channel(arg: str) -> channels.QubitChannel:
     name, _, prob = arg.partition(":")
-    if name in ("identity", "discord_raising"):
-        if prob:
-            raise ValueError(f"{name} takes no parameter")
-        return channels.identity_channel() if name == "identity" else channels.discord_raising()
-    if name in channels._FACTORIES:
+    factory, takes_p = channels.builtin_factory(name)
+    if takes_p:
         if not prob:
             raise ValueError(f"channel {name} needs a parameter, e.g. {name}:0.3")
-        return channels._FACTORIES[name](float(prob))
+        return factory(float(prob))
+    if factory:
+        if prob:
+            raise ValueError(f"{name} takes no parameter")
+        return factory()
     return channels.channel_from_json(_read_json(arg))
 
 

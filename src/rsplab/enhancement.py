@@ -36,6 +36,8 @@ from .states import BELL_TOL, TwoQubitState, as_bell_params, bell_eigenvalues
 MAX_RESOLUTION = 201
 MAX_STEPS = 10**6
 MAX_POINTS = 10**5
+# The least rise in f that counts as an enhancement.
+GAIN_TOL = 1e-12
 # Rows per chunk of the CSV writer.  A chunk's transient arrays take about
 # 240 B a number, under 0.5 MiB for 2^9 rows of 4; chunks of 2^11 rows and
 # more were no faster, and each evolve write then paged in fresh heap.
@@ -168,7 +170,7 @@ def _verdict(c1, c2, c3, f_before=None):
     p = 1.0 - crit.q1[holds]
     f_opt = _damped_f(c1, c2, c3, p, 1.0 - p)
     f0 = _damped_f(c1, c2, c3, 0.0, 1.0) if f_before is None else f_before[holds]
-    gain = f_opt > f0 + 1e-12
+    gain = f_opt > f0 + GAIN_TOL
     return crit, holds[gain], f_opt[gain]
 
 
@@ -212,7 +214,7 @@ def p_opt(c) -> float:
     p = 1.0 - float(crit.q1[0])
     # post-check: local maximality
     probes = np.array([max(0.0, p - 1e-4), min(1.0, p + 1e-4)])
-    if (_damped_f(*params.as_tuple(), probes, 1.0 - probes) > f_opt[0] + 1e-12).any():
+    if (_damped_f(*params.as_tuple(), probes, 1.0 - probes) > f_opt[0] + GAIN_TOL).any():
         raise RuntimeError("p_opt is not a local maximum")
     return p
 
@@ -244,7 +246,7 @@ class EnhanceReport:
     def __post_init__(self):
         if self.q1 is not None and self.p_opt != 1.0 - self.q1:
             raise ValueError("p_opt must equal 1 - q1")
-        if self.enhancible and not self.f_after > self.f_before + 1e-12:
+        if self.enhancible and not self.f_after > self.f_before + GAIN_TOL:
             raise ValueError("enhancible report must show a strict gain")
 
 
@@ -574,10 +576,11 @@ def scan_tetrahedron(resolution: int = 81) -> ScanResult:
     axis = np.linspace(-1.0, 1.0, resolution)
     axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric
     c1, c2, c3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    member = ((1.0 - c1 - c2 - c3 >= -4e-12)
-              & (1.0 - c1 + c2 + c3 >= -4e-12)
-              & (1.0 + c1 - c2 + c3 >= -4e-12)
-              & (1.0 + c1 + c2 - c3 >= -4e-12))
+    slack = -4.0 * BELL_TOL
+    member = ((1.0 - c1 - c2 - c3 >= slack)
+              & (1.0 - c1 + c2 + c3 >= slack)
+              & (1.0 + c1 - c2 + c3 >= slack)
+              & (1.0 + c1 + c2 - c3 >= slack))
     points = np.stack([c1[member], c2[member], c3[member]], axis=1)
     del c1, c2, c3  # release the lattice before the verdict
     flags = np.zeros(len(points), dtype=bool)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -27,40 +26,20 @@ from .linalg import ID2, PAULIS, su2_axis_angle
 from .states import BellDiagonalParams, TwoQubitState, bell_diagonal, bell_eigenvalues
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-MAX_GRID = 2**24
-MAX_AXES = 2**15
 MAX_TRIALS = 10**7
 # Trials per stacked evaluation in the unital suite: bounds its working set.
 SUITE_CHUNK = 1024
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Grid sizes for the direction-search oracles."""
-
-    seed: int = 0
-    n_beta: int = 72       # correction-axis / CQ-axis grid
-    n_target: int = 24     # targets per great circle
-    n_alpha: int = 256     # measurement-direction grid
-    refine_iters: int = 4  # local refinement rounds, shrink 0.2
-
-    def __post_init__(self):
-        for name in ("n_beta", "n_target", "n_alpha", "refine_iters"):
-            if getattr(self, name) < 4:
-                raise ValueError(f"{name} must be at least 4")
-        # The searches are batched, so the grids set the working set:
-        # payoff arrays of n_beta * n_target * n_alpha floats (128 MiB at
-        # the cap) and about 3 KB per CQ-axis candidate (n_beta * 5/4).
-        size = self.n_beta * self.n_target * self.n_alpha
-        if size > MAX_GRID:
-            raise ValueError(f"n_beta * n_target * n_alpha must be at most {MAX_GRID}, got {size}")
-        if self.n_beta > MAX_AXES:
-            raise ValueError(f"n_beta must be at most {MAX_AXES}, got {self.n_beta}")
-
-    def as_dict(self):
-        return {"seed": int(self.seed), "n_beta": int(self.n_beta),
-                "n_target": int(self.n_target), "n_alpha": int(self.n_alpha),
-                "refine_iters": int(self.refine_iters)}
+# The one grid of the direction-search oracles, on which their error
+# budgets are stated.
+N_BETA = 72               # correction-axis / CQ-axis grid
+N_TARGET = 24             # targets per great circle
+N_ALPHA = 256             # measurement-direction grid
+REFINE_ITERS = 4          # local refinement rounds, shrink 0.2
+N_RESTARTS = N_BETA // 4  # seeded random CQ-axis restarts
+# A search report's config is its seed followed by this.
+_GRID = {"n_beta": N_BETA, "n_target": N_TARGET, "n_alpha": N_ALPHA,
+         "refine_iters": REFINE_ITERS}
 
 
 @dataclass(frozen=True)
@@ -185,22 +164,20 @@ def _designated_payoffs(b, e, betas, targets, alphas):
     return np.maximum(pay_minus, pay_plus)
 
 
-def protocol_fidelity_oracle(s: TwoQubitState,
-                             cfg: Optional[OracleConfig] = None) -> OracleReport:
+def protocol_fidelity_oracle(s: TwoQubitState) -> OracleReport:
     """Estimate the RSP-fidelity by simulating the protocol directly.
 
     Minimizes the target-averaged optimized payoff over correction axes
     on a Fibonacci grid with local cap refinement; for each correction
     axis the payoff of every target on its great circle is maximized
     over measurement axes the same way.  Contract: within 5e-3 of the
-    closed form at default grids for Bell-diagonal states and random
-    states of purity <= 0.99.
+    closed form for Bell-diagonal states and random states of purity
+    <= 0.99.
     """
-    cfg = cfg or OracleConfig()
     b, e = s.b, s.e
     reference = measures.rsp_fidelity(s)
-    alphas = fibonacci_sphere(cfg.n_alpha)
-    th = 2.0 * np.pi * np.arange(cfg.n_target) / cfg.n_target
+    alphas = fibonacci_sphere(N_ALPHA)
+    th = 2.0 * np.pi * np.arange(N_TARGET) / N_TARGET
 
     def beta_payoff(betas):
         """Target-averaged payoff at correction axes (..., 3), optimized over alpha."""
@@ -209,14 +186,14 @@ def protocol_fidelity_oracle(s: TwoQubitState,
                    + np.sin(th)[:, None] * w[..., None, :])
         _, best = _sphere_search(
             lambda a: _designated_payoffs(b, e, betas, targets, a), alphas,
-            2.0 * 3.6 / np.sqrt(cfg.n_alpha), 24, cfg.refine_iters, 1.0)
+            2.0 * 3.6 / np.sqrt(N_ALPHA), 24, REFINE_ITERS, 1.0)
         return best.mean(axis=-1)
 
-    _, best_val = _sphere_search(beta_payoff, fibonacci_sphere(cfg.n_beta),
-                                 2.0 * 3.6 / np.sqrt(cfg.n_beta), 32,
-                                 cfg.refine_iters, -1.0)
+    _, best_val = _sphere_search(beta_payoff, fibonacci_sphere(N_BETA),
+                                 2.0 * 3.6 / np.sqrt(N_BETA), 32,
+                                 REFINE_ITERS, -1.0)
     best_val = float(best_val)
-    return _report(best_val, reference, 1, cfg.seed, cfg.as_dict(),
+    return _report(best_val, reference, 1, 0, {"seed": 0, **_GRID},
                    worst_case=f"abs_err={abs(best_val - reference):.3e}",
                    passed=abs(best_val - reference) <= 5e-3)
 
@@ -250,8 +227,7 @@ def _pinched_distances(rho: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(diff * diff.conj(), axis=(-2, -1)).real
 
 
-def gmqd_search_oracle(s: TwoQubitState,
-                       cfg: Optional[OracleConfig] = None) -> OracleReport:
+def gmqd_search_oracle(s: TwoQubitState, seed: int = 0) -> OracleReport:
     """Upper-bound the discord by direct search over CQ states.
 
     Classical-quantum candidates are parameterized by Alice's axis; for
@@ -260,18 +236,17 @@ def gmqd_search_oracle(s: TwoQubitState,
     with local cap refinement.  Always an upper bound (within 1e-9);
     within 1e-3 of the closed form for Bell-diagonal states.
     """
-    cfg = cfg or OracleConfig()
     rho = s.rho
     reference = measures.gmqd(s)
-    rng = np.random.default_rng([cfg.seed, 0x6d71])
-    restarts = rng.normal(size=(max(4, cfg.n_beta // 4), 3))
-    axes = np.concatenate([fibonacci_sphere(cfg.n_beta),
+    rng = np.random.default_rng([seed, 0x6d71])
+    restarts = rng.normal(size=(N_RESTARTS, 3))
+    axes = np.concatenate([fibonacci_sphere(N_BETA),
                            restarts / np.linalg.norm(restarts, axis=1, keepdims=True)])
     _, best_val = _sphere_search(lambda ax: _pinched_distances(rho, ax), axes,
-                                 2.0 * 3.6 / np.sqrt(cfg.n_beta), 32,
-                                 cfg.refine_iters, -1.0)
+                                 2.0 * 3.6 / np.sqrt(N_BETA), 32,
+                                 REFINE_ITERS, -1.0)
     best_val = float(best_val)
-    return _report(best_val, reference, 1, cfg.seed, cfg.as_dict(),
+    return _report(best_val, reference, 1, seed, {"seed": int(seed), **_GRID},
                    worst_case=f"err={best_val - reference:.3e}",
                    passed=(best_val >= reference - 1e-9))
 
@@ -439,39 +414,36 @@ def _named_states():
             ("bell(0.5,0,-0.5)", demo), ("cq_gap", gap)]
 
 
-def protocol_suite(n_trials: int = 50, seed: int = 0,
-                   cfg: Optional[OracleConfig] = None) -> OracleReport:
+def protocol_suite(n_trials: int = 50, seed: int = 0) -> OracleReport:
     """Protocol oracle over random states plus the named landmark states."""
     _check_trials(n_trials)
-    cfg = cfg or OracleConfig(seed=seed)
     named = _named_states()
     randoms = ((f"random_{i}", bounded_purity_state(np.random.default_rng([seed, i])))
                for i in range(n_trials))
     worst_err = -1.0
     worst = None
     for label, state in itertools.chain(named, randoms):
-        rep = protocol_fidelity_oracle(state, cfg)
+        rep = protocol_fidelity_oracle(state)
         if rep.abs_err > worst_err:
             worst_err = rep.abs_err
             worst = (label, rep)
     label, rep = worst
-    return _report(rep.estimate, rep.reference, len(named) + n_trials, seed, cfg.as_dict(),
+    return _report(rep.estimate, rep.reference, len(named) + n_trials, seed,
+                   {"seed": int(seed), **_GRID},
                    worst_case=f"worst |err|={worst_err:.3e} on {label}",
                    passed=worst_err <= 5e-3)
 
 
-def gmqd_suite(n_trials: int = 20, seed: int = 0,
-               cfg: Optional[OracleConfig] = None) -> OracleReport:
+def gmqd_suite(n_trials: int = 20, seed: int = 0) -> OracleReport:
     """Search oracle over random Bell-diagonal states."""
     _check_trials(n_trials)
-    cfg = cfg or OracleConfig(seed=seed)
     worst_err = -np.inf
     worst = None
     ok = True
     for i in range(n_trials):
         rng = np.random.default_rng([seed, i])
         state = bell_diagonal(random_bell_params(rng))
-        rep = gmqd_search_oracle(state, cfg)
+        rep = gmqd_search_oracle(state, seed)
         err = rep.estimate - rep.reference
         if err < -1e-9 or err > 1e-3:
             ok = False
@@ -479,6 +451,6 @@ def gmqd_suite(n_trials: int = 20, seed: int = 0,
             worst_err = abs(err)
             worst = (i, rep)
     i, rep = worst
-    return _report(rep.estimate, rep.reference, n_trials, seed, cfg.as_dict(),
+    return _report(rep.estimate, rep.reference, n_trials, seed, {"seed": int(seed), **_GRID},
                    worst_case=f"worst |err|={worst_err:.3e} at trial {i}",
                    passed=ok)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,10 @@ def _bad_input_argvs(tmp_path):
         ("--channel-a", {"type": "amplitude_damping", "p": None}),
         ("--channel-a", {"type": "kraus", "ops": [1]}),
         ("--channel-a", {"type": ["kraus"]}),
+        ("--channel-a", {"type": "discord_raising", "p": 0.3}),
+        # under the file limit, so the value is parsed and its echo capped
+        ("--state", {"type": "bell_diagonal", "c": [0.1] * 100_000}),
+        # over the file limit, so it is not parsed
         ("--state", {"type": "bell_diagonal", "c": [0.1] * 300_000}),
         # past Python's limit on int() of a digit string; json.dumps cannot write it
         ("--state", '{"type": "bell_diagonal", "c": [1' + "0" * 5000 + ', 0, 0]}'),
@@ -243,9 +248,45 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and len(captured.err) <= 300
         assert captured.out == ""
         errors.append(captured.err)
-    assert errors[-2].endswith(" got " + repr([0.1] * 300_000)[:200] + "...\n")
-    assert errors[-1] == (f"error: {tmp_path / 'bad5.json'}: JSON integer literal too long "
+    assert errors[-4] == "error: channel type 'discord_raising' takes no 'p' field\n"
+    assert errors[-3].endswith(" got " + repr([0.1] * 100_000)[:200] + "...\n")
+    assert errors[-2] == (f"error: {tmp_path / 'bad6.json'}: input file longer than "
+                          f"{cli.MAX_INPUT_CHARS} characters\n")
+    assert errors[-1] == (f"error: {tmp_path / 'bad7.json'}: JSON integer literal too long "
                           f"(more than {sys.get_int_max_str_digits()} digits)\n")
+
+
+def _read_json_peak_bytes(path):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="input file longer than"):
+            cli._read_json(str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_input_file_bound_before_parsing(tmp_path):
+    # past the limit, a file costs what one just past it costs, whatever
+    # its size: it is read no further and never parsed
+    path = tmp_path / "long.json"
+    path.write_text("[" + "0," * cli.MAX_INPUT_CHARS + "0]")
+    near = _read_json_peak_bytes(path)
+    path.write_text("[" + "0," * (4 * cli.MAX_INPUT_CHARS) + "0]")
+    assert _read_json_peak_bytes(path) < near + 2**16 < 4 * cli.MAX_INPUT_CHARS
+    path.write_text(" " * (cli.MAX_INPUT_CHARS - 2) + "[]")
+    assert cli._read_json(str(path)) == []
+
+
+@pytest.mark.parametrize("spec", [{"type": "identity"}, {"type": "discord_raising"},
+                                  {"type": "amplitude_damping", "p": 0.3}])
+def test_json_builtin_channels_match_inline(tmp_path, spec):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(spec))
+    inline = spec["type"] + (f":{spec['p']}" if "p" in spec else "")
+    runs = [_run(["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", channel])
+            for channel in (str(path), inline)]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("flag,obj,message", [
@@ -441,6 +482,23 @@ def test_enhancement_output_pinned(name):
         rc, out, _ = _run(argv)
         h.update(f"{rc}\n{out}".encode())
     assert h.hexdigest() == PINNED_DIGESTS[name]
+
+
+# sha256 of "<exit code>\n<stdout>" of the searched verify suites, recorded
+# while the oracles' grid sizes were still settable, at their defaults.
+PINNED_VERIFY_DIGESTS = {
+    "verify --suite protocol --trials 1":
+        "fb9ffb8c222e1fb353c1655ee6ee239208c82ddaf2fd132afa17d700ba9dc87d",
+    "verify --suite gmqd --trials 3 --seed 5":
+        "7ec5131780a0e1e2fee3a85b9137f1345027625111ad87b554f80ba96041e1fd",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_VERIFY_DIGESTS))
+def test_verify_search_output_pinned(command):
+    rc, out, _ = _run(command.split())
+    digest = hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
+    assert digest == PINNED_VERIFY_DIGESTS[command]
 
 
 def _channel_commands():

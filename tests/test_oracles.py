@@ -12,7 +12,6 @@ from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.oracles import (
     MAX_TRIALS,
     SUITE_CHUNK,
-    OracleConfig,
     OracleReport,
     _named_states,
     _sphere_search,
@@ -30,24 +29,6 @@ from rsplab.oracles import (
     unital_monotonicity_suite,
 )
 from rsplab.states import bell_diagonal, bell_eigenvalues
-
-FAST = OracleConfig(seed=7, n_beta=24, n_target=12, n_alpha=64,
-                    refine_iters=4)
-
-
-def test_config_rejects_small_counts():
-    for field in ("n_beta", "n_target", "n_alpha", "refine_iters"):
-        with pytest.raises(ValueError):
-            OracleConfig(**{field: 3})
-
-
-def test_config_rejects_oversized_grids():
-    with pytest.raises(ValueError):
-        OracleConfig(n_beta=1024, n_target=128, n_alpha=256)  # 2^25 payoffs
-    with pytest.raises(ValueError):
-        OracleConfig(n_beta=2**15 + 1)
-    OracleConfig(n_beta=256, n_target=256, n_alpha=256)  # exactly 2^24
-
 
 def test_report_checks_abs_err():
     with pytest.raises(ValueError):
@@ -100,15 +81,17 @@ def test_sphere_search_batch(sign):
         assert np.array_equal(best[idx], one_best) and val[idx] == one_val
 
 
-# FAST-config estimates on the four named states and four random ones,
-# pinned so that a rewrite of the search cannot drift unnoticed
-PINNED_PROTOCOL = [0.9997834569825023, 0.0, 0.12499977616482343,
-                   8.841823407323042e-07, 0.035966501593306534,
-                   0.04564701219350251, 0.09081158224613378,
-                   0.16532203323721512]
-PINNED_GMQD = [0.9999999999999989, 0.0, 0.12500000000000006, 0.25,
-               0.07355545610357721, 0.05629583757967739,
-               0.1233626166107603, 0.17607109263626727]
+# Estimates on the four named states and four random ones, the gmqd ones
+# at restart seed 7, pinned so that a rewrite of the search cannot drift
+# unnoticed
+PINNED_PROTOCOL = [0.9999199956965737, 0.0, 0.12496949990330009,
+                   4.510795420557781e-08, 0.03596639262634582,
+                   0.04564648523980072, 0.09081057063793335,
+                   0.16532535632118237]
+PINNED_GMQD = [0.9999999999999989, 0.0, 0.12500000000000003,
+               0.24999999999999994, 0.07355527908834045,
+               0.05629555666649455, 0.12336236794441677,
+               0.17607124757630094]
 
 
 def test_oracles_match_pinned_estimates():
@@ -116,20 +99,20 @@ def test_oracles_match_pinned_estimates():
     states = ([s for _, s in _named_states()]
               + [bounded_purity_state(rng) for _ in range(4)])
     for s, p_est, g_est in zip(states, PINNED_PROTOCOL, PINNED_GMQD):
-        assert protocol_fidelity_oracle(s, FAST).estimate == pytest.approx(p_est, abs=1e-12)
-        assert gmqd_search_oracle(s, FAST).estimate == pytest.approx(g_est, abs=1e-12)
+        assert protocol_fidelity_oracle(s).estimate == pytest.approx(p_est, abs=1e-12)
+        assert gmqd_search_oracle(s, seed=7).estimate == pytest.approx(g_est, abs=1e-12)
 
 
 def test_protocol_oracle_named_states():
-    rep = protocol_fidelity_oracle(bell_diagonal(-1.0, -1.0, -1.0), FAST)
+    rep = protocol_fidelity_oracle(bell_diagonal(-1.0, -1.0, -1.0))
     assert rep.reference == pytest.approx(1.0, abs=1e-12)
     assert rep.abs_err <= 5e-3
 
-    rep = protocol_fidelity_oracle(bell_diagonal(0.0, 0.0, 0.0), FAST)
+    rep = protocol_fidelity_oracle(bell_diagonal(0.0, 0.0, 0.0))
     assert rep.reference == 0.0
     assert rep.estimate <= 5e-3
 
-    rep = protocol_fidelity_oracle(bell_diagonal(0.5, 0.0, -0.5), FAST)
+    rep = protocol_fidelity_oracle(bell_diagonal(0.5, 0.0, -0.5))
     assert rep.reference == pytest.approx(0.125, abs=1e-12)
     assert rep.abs_err <= 5e-3
 
@@ -140,16 +123,16 @@ def test_protocol_oracle_random_states():
     rng = np.random.default_rng(5)
     for _ in range(5):
         s = bounded_purity_state(rng)
-        rep = protocol_fidelity_oracle(s, FAST)
-        assert rep.abs_err <= 2e-2
+        rep = protocol_fidelity_oracle(s)
+        assert rep.abs_err <= 5e-3
 
 
 def test_gmqd_oracle_named_states():
-    rep = gmqd_search_oracle(bell_diagonal(-1.0, -1.0, -1.0), FAST)
+    rep = gmqd_search_oracle(bell_diagonal(-1.0, -1.0, -1.0), seed=7)
     assert rep.reference == pytest.approx(1.0, abs=1e-12)
     assert rep.abs_err <= 1e-3
 
-    rep = gmqd_search_oracle(bell_diagonal(0.5, 0.0, -0.5), FAST)
+    rep = gmqd_search_oracle(bell_diagonal(0.5, 0.0, -0.5), seed=7)
     assert rep.reference == pytest.approx(0.125, abs=1e-12)
     assert rep.abs_err <= 1e-3
 
@@ -159,7 +142,7 @@ def test_gmqd_oracle_upper_bounds():
     rng = np.random.default_rng(11)
     for _ in range(5):
         s = ginibre_state(rng)
-        rep = gmqd_search_oracle(s, FAST)
+        rep = gmqd_search_oracle(s, seed=7)
         assert rep.estimate >= rep.reference - 1e-9
 
 
@@ -277,7 +260,7 @@ def test_suites_reject_negative_seed():
         with pytest.raises(ValueError, match="non-negative"):
             suite(n_trials=2, seed=-1)
     with pytest.raises(ValueError, match="non-negative"):
-        protocol_suite(n_trials=2, seed=-1, cfg=FAST)
+        protocol_suite(n_trials=2, seed=-1)
 
 
 def test_suite_channels_match_sample_unital_local():
@@ -349,24 +332,24 @@ def test_discord_raising_check():
 
 
 def test_suites_are_deterministic():
-    a = protocol_suite(n_trials=2, seed=3, cfg=FAST).as_dict()
-    b = protocol_suite(n_trials=2, seed=3, cfg=FAST).as_dict()
+    a = protocol_suite(n_trials=2, seed=3).as_dict()
+    b = protocol_suite(n_trials=2, seed=3).as_dict()
     assert a == b
 
-    a = gmqd_suite(n_trials=3, seed=3, cfg=FAST).as_dict()
-    b = gmqd_suite(n_trials=3, seed=3, cfg=FAST).as_dict()
+    a = gmqd_suite(n_trials=3, seed=3).as_dict()
+    b = gmqd_suite(n_trials=3, seed=3).as_dict()
     assert a == b
 
 
 def test_protocol_suite_small():
-    rep = protocol_suite(n_trials=2, seed=0, cfg=FAST)
+    rep = protocol_suite(n_trials=2, seed=0)
     assert rep.passed
     assert rep.trials == 6  # four named states plus the random draws
     assert rep.abs_err <= 5e-3
 
 
 def test_gmqd_suite_small():
-    rep = gmqd_suite(n_trials=4, seed=0, cfg=FAST)
+    rep = gmqd_suite(n_trials=4, seed=0)
     assert rep.passed
     assert rep.abs_err <= 1e-3
 
