@@ -3,10 +3,12 @@
 Everything here operates on fixed tiny sizes: complex 2x2 and 4x4
 matrices (qubit operators, two-qubit operators, Kraus maps), real 3x3
 Bloch-space rotations and real 4x4 correlation and Pauli transfer
-matrices.  All functions are pure and hold no global state.
+matrices.  All functions are pure.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -69,24 +71,28 @@ def probability(p, what: str = "probability") -> float:
     return p
 
 
-def psd_check(h: np.ndarray) -> bool:
-    """True iff every Hermitian matrix in ``h`` (..., n, n) has all
-    eigenvalues >= -CHOI_TOL.
+@functools.cache
+def _shift(n: int, tol: float) -> np.ndarray:
+    """The read-only n x n matrix tol * I."""
+    shift = tol * np.eye(n)
+    shift.setflags(write=False)
+    return shift
 
-    Raises:
-        ValueError: if ``h`` is not square or not Hermitian within
-            CHOI_TOL (the message gives the largest deviation in the stack).
+
+def psd_lowest(herm: np.ndarray, tol: float):
+    """None if every Hermitian matrix in ``herm`` (..., n, n) has all
+    eigenvalues >= -tol, else the lowest eigenvalue of the stack.
+
+    The stack passes at once when herm + tol * I factorizes by Cholesky;
+    only when it does not are the eigenvalues computed, to decide the
+    boundary and to report the lowest one.  Both read the lower triangle.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    hdag = h.swapaxes(-1, -2).conj()
-    dev = abs(h - hdag).max()
-    if dev > CHOI_TOL:
-        raise ValueError(f"matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {CHOI_TOL:.3e}")
-    herm = h + hdag
-    herm *= 0.5
-    return bool((np.linalg.eigvalsh(herm)[..., 0] >= -CHOI_TOL).all())
+    try:
+        np.linalg.cholesky(herm + _shift(herm.shape[-1], tol))
+        return None
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(herm)[..., 0].min()
+    return None if low >= -tol else low
 
 
 def su2_axis_angle(axis, angle) -> np.ndarray:

@@ -417,6 +417,7 @@ def _named_states():
 def protocol_suite(n_trials: int = 50, seed: int = 0) -> OracleReport:
     """Protocol oracle over random states plus the named landmark states."""
     _check_trials(n_trials)
+    np.random.SeedSequence([seed, 0])  # numpy's seed check, before any state
     named = _named_states()
     randoms = ((f"random_{i}", bounded_purity_state(np.random.default_rng([seed, i])))
                for i in range(n_trials))

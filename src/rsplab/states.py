@@ -61,12 +61,10 @@ def _apply_four_term(x: np.ndarray, four_term) -> np.ndarray:
 BELL_TOL = 1e-12
 
 
-def _top(values, lowest: bool = False):
-    """Max (or min) of per-matrix values; one matrix's 0-d value as it is,
-    off numpy's slow scalar reductions (about 3 us a call)."""
-    if not values.ndim:
-        return values
-    return values.min() if lowest else values.max()
+def _top(values):
+    """Max of per-matrix values; one matrix's 0-d value as it is, off
+    numpy's slow scalar reductions (about 3 us a call)."""
+    return values.max() if values.ndim else values
 
 
 def _checked(c: np.ndarray) -> np.ndarray:
@@ -95,8 +93,8 @@ def _read_off(rho: np.ndarray, herm: np.ndarray) -> np.ndarray:
     tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
     if tr_dev > DEFAULT_TOL:
         raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-    low = _top(np.linalg.eigvalsh(herm)[..., 0], lowest=True)
-    if not low >= -DEFAULT_TOL:
+    low = linalg.psd_lowest(herm, DEFAULT_TOL)
+    if low is not None:
         raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
     return _apply_four_term(rho, _TO_COEFF)
 

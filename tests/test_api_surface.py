@@ -1,5 +1,6 @@
-"""The package's public surface: every public name has a caller or a reason;
-and the tests' references stay apart from the package."""
+"""The package's surface: every public name has a caller or a reason, every
+private module-level function and constant a reader; and the tests'
+references stay apart from the package."""
 
 import ast
 import pathlib
@@ -26,21 +27,28 @@ REFERENCE_IMPORTS = {("rsplab.enhancement", "EvolutionTrace"),
                      ("rsplab.enhancement", "SuddenChange")}
 
 
-def _unused_public_names():
-    """Public module-level functions and classes of the package, and public
-    methods of those classes, that no module other than ``__init__`` names."""
+def _package_trees():
+    """Syntax trees of the package's modules other than ``__init__``, and
+    every name they read: names, attributes and imported names."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in pathlib.Path(rsplab.__file__).parent.glob("*.py")}
     trees.pop("__init__")
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return trees, used
+
+
+def _unused_public_names():
+    """Public module-level functions and classes of the package, and public
+    methods of those classes, that no module other than ``__init__`` names."""
+    trees, used = _package_trees()
     defined = []
     for tree in trees.values():
         for node in tree.body:
@@ -51,10 +59,34 @@ def _unused_public_names():
     return {name for name in defined if not name.startswith("_") and name not in used}
 
 
+def _unused_private_names():
+    """Private module-level functions and constants of the package that no
+    module reads."""
+    trees, used = _package_trees()
+    defined = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined.add(name.id)
+    return {name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in used}
+
+
 def test_public_names_are_used_or_kept():
     assert _unused_public_names() == set(KEEP)
     for name in rsplab.__all__:
         assert hasattr(rsplab, name), name
+
+
+def test_private_names_are_used():
+    # a private helper or constant that nothing reads is left over from a fold
+    assert _unused_private_names() == set()
 
 
 def test_references_import_nothing_else_from_the_package():

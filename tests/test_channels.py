@@ -23,10 +23,9 @@ from rsplab.channels import (
     factorize,
     identity_channel,
     phase_flip,
-    probe_directions,
     sample_unital_local,
 )
-from rsplab.linalg import ID2, PAULI_BASIS, SIGMA_Z, psd_check, su2_axis_angle
+from rsplab.linalg import CHOI_TOL, ID2, PAULI_BASIS, SIGMA_Z, psd_lowest, su2_axis_angle
 from rsplab.oracles import random_bell_params, random_unitary
 from rsplab.states import TwoQubitState, bell_diagonal
 
@@ -173,9 +172,10 @@ def test_choi_full_damping_spectrum():
 
 
 def test_choi_detects_non_cp():
-    # T = diag(1,1,-1) is outside the unital tetrahedron
+    # T = diag(1,1,-1) is outside the unital tetrahedron: Choi eigenvalue -1
     c = choi_from_affine(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
-    assert not psd_check(c)
+    assert psd_lowest(c, CHOI_TOL) == pytest.approx(-1.0, abs=1e-12)
+    assert psd_lowest(choi_from_affine(np.zeros(3), np.diag([1.0, 1.0, 1.0])), CHOI_TOL) is None
 
 
 def test_channel_constructor_rejects_non_cp_affine():
@@ -238,9 +238,10 @@ def test_factorize_amplitude_damping():
 
 def test_factorize_round_trip_random_channels():
     """T = R1 (sign D) R2^T and the rebuilt affine map must reproduce the
-    original action on the 26-direction probe set."""
+    original action on random Bloch vectors."""
     rng = np.random.default_rng(8)
-    probes = probe_directions()
+    probes = rng.normal(size=(26, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     for _ in range(40):
         ch_a, _ = sample_unital_local(rng)
         t = ch_a.affine.t
@@ -497,9 +498,17 @@ def test_kraus_ptm_rejections_in_order(monkeypatch):
         with pytest.raises(ValueError, match="^transfer matrix not real: max imag "):
             _kraus_ptm(good)
     with monkeypatch.context() as patch:
-        patch.setattr(channels.linalg, "psd_check", lambda h: False)
+        patch.setattr(channels.linalg, "psd_lowest", lambda h, tol: -1.0)
         with pytest.raises(ValueError, match="^Choi matrix not PSD"):
             _kraus_ptm(good)
+    # i times the Choi matrix is anti-Hermitian: caught before any other check
+    with monkeypatch.context() as patch:
+        patch.setattr(channels, "choi_from_kraus", lambda k: 1.0j * choi_from_kraus(k))
+        message = "Choi matrix not Hermitian: max |H - H^dag| = "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            _kraus_ptm(1.1 * good)
+        with pytest.raises(ValueError, match=re.escape("= 2.000e+00 > 1.000e-09")):
+            _kraus_ptm(ID2[None])
 
 
 # --- sampling ---------------------------------------------------------------

@@ -2,16 +2,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsplab.channels import channel_from_json
 from rsplab.linalg import (
+    CHOI_TOL,
+    DEFAULT_TOL,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     is_unitary,
     probability,
-    psd_check,
+    psd_lowest,
     su2_axis_angle,
 )
 from rsplab.states import state_from_json
@@ -27,16 +31,21 @@ def random_rotation(rng):
     return rotation_axis_angle(axis, rng.uniform(0.0, 2.0 * np.pi))
 
 
-def test_psd_check_accepts_density_like():
-    assert psd_check(np.eye(4) / 4)
-    assert psd_check(np.diag([0.5, 0.5, 0.0, 0.0]))
+def test_psd_lowest_accepts_density_like():
+    for tol in (DEFAULT_TOL, CHOI_TOL):
+        assert psd_lowest(np.eye(4, dtype=complex) / 4, tol) is None
+        assert psd_lowest(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), tol) is None
 
 
-def test_psd_check_rejects_outside_tetrahedron():
-    # Bell-diagonal matrix with c = (1,1,1) has eigenvalue -1/2
+def test_psd_lowest_rejects_outside_tetrahedron():
+    # Bell-diagonal matrix with c = (1,1,1) has eigenvalue -1/2; in a stack
+    # it rejects the stack, which reports its lowest eigenvalue
     rho = 0.25 * (np.eye(4) + np.kron(SIGMA_X, SIGMA_X)
                   + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z))
-    assert not psd_check(rho)
+    stack = np.stack([np.eye(4) / 4, rho, np.diag([0.5, 0.5, 0.0, 0.0])]).astype(complex)
+    for tol in (DEFAULT_TOL, CHOI_TOL):
+        assert psd_lowest(rho, tol) == pytest.approx(-0.5, abs=1e-15)
+        assert psd_lowest(stack, tol) == np.linalg.eigvalsh(rho)[0]
 
 
 def test_probability_bounds():
@@ -86,16 +95,40 @@ def test_json_fields_take_only_numbers(load, obj, message):
     assert str(exc.value) == message
 
 
-def test_psd_check_tolerance_edge():
-    # the fixed tolerance is CHOI_TOL = 1e-9
-    assert psd_check(np.diag([1.0, -1e-10]).astype(complex))
-    assert not psd_check(np.diag([1.0, -1e-8]).astype(complex))
+def test_psd_lowest_tolerance_edge():
+    # -1e-10 passes at CHOI_TOL = 1e-9 and at DEFAULT_TOL = 1e-10, -1e-8 at neither
+    for tol in (DEFAULT_TOL, CHOI_TOL):
+        assert psd_lowest(np.diag([1.0, -1e-10]).astype(complex), tol) is None
+        assert psd_lowest(np.diag([1.0, -1e-8]).astype(complex), tol) == -1e-8
+    assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), CHOI_TOL) is None
+    assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), DEFAULT_TOL) == -5e-10
 
 
-def test_psd_check_rejects_non_hermitian():
-    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-09"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        psd_check(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+def _random_unitaries(rng, count, n):
+    z = rng.normal(size=(count, n, n)) + 1.0j * rng.normal(size=(count, n, n))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]), count=st.integers(1, 40),
+       tol=st.sampled_from([DEFAULT_TOL, CHOI_TOL]), sign=st.sampled_from([-1.0, 1.0]),
+       exponent=st.floats(-13.0, 0.0))
+def test_psd_lowest_matches_eigvalsh_at_the_boundary(seed, n, count, tol, sign, exponent):
+    # a Hermitian stack whose lowest eigenvalue is -tol + delta, |delta| >= 1e-13:
+    # the verdict is eigvalsh's, and a rejection reports eigvalsh's lowest value
+    rng = np.random.default_rng(seed)
+    lowest = -tol + sign * 10.0 ** exponent
+    spectra = lowest + rng.uniform(0.0, 1.0, size=(count, n))
+    spectra[rng.integers(count), rng.integers(n)] = lowest
+    q = _random_unitaries(rng, count, n)
+    h = (q * spectra[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    h = 0.5 * (h + h.conj().swapaxes(-1, -2))
+    expected = np.linalg.eigvalsh(h)[..., 0].min()
+    got = psd_lowest(h, tol)
+    if expected >= -tol:
+        assert got is None
+    else:
+        assert got == expected
 
 
 def test_rotation_z_by_half_pi():

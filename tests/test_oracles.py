@@ -254,13 +254,31 @@ def test_trial_states_guard_catches_wrong_constant(monkeypatch, name):
         unital_monotonicity_suite(n_trials=3, seed=7)
 
 
-def test_suites_reject_negative_seed():
-    # numpy's own seed check, before any trial is evaluated
-    for suite in (unital_monotonicity_suite, gmqd_suite):
+def test_suites_reject_negative_seed(monkeypatch):
+    # numpy's own seed check, before any trial or named state is evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a state was evaluated before the seed check")
+
+    for name in ("protocol_fidelity_oracle", "gmqd_search_oracle", "_unital_rises"):
+        monkeypatch.setattr(oracles, name, evaluated)
+    for suite in (unital_monotonicity_suite, gmqd_suite, protocol_suite):
         with pytest.raises(ValueError, match="non-negative"):
             suite(n_trials=2, seed=-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        protocol_suite(n_trials=2, seed=-1)
+
+
+def test_accepted_unital_chunk_makes_one_eigensolve(monkeypatch):
+    # the states, channels and after-states pass their positivity checks by
+    # Cholesky; the one eigensolve left is the f_rsp spectra
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    report = unital_monotonicity_suite(n_trials=64, seed=3)
+    assert report.passed
+    assert shapes == [(2, 64, 3, 3)]
 
 
 def test_suite_channels_match_sample_unital_local():
