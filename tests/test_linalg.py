@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsplab import channels
 from rsplab.channels import channel_from_json
 from rsplab.linalg import (
     CHOI_TOL,
     DEFAULT_TOL,
+    ID2,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -18,7 +20,7 @@ from rsplab.linalg import (
     psd_lowest,
     su2_axis_angle,
 )
-from rsplab.states import state_from_json
+from rsplab.states import TwoQubitState, state_from_json
 
 from references import rotation_axis_angle
 
@@ -102,6 +104,22 @@ def test_psd_lowest_tolerance_edge():
         assert psd_lowest(np.diag([1.0, -1e-8]).astype(complex), tol) == -1e-8
     assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), CHOI_TOL) is None
     assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), DEFAULT_TOL) == -5e-10
+
+
+def test_psd_check_rejects_non_hermitian(monkeypatch):
+    # psd_lowest reads only the lower triangle, so both positivity checks
+    # test Hermiticity first: a stray upper entry would pass it unseen
+    h = np.eye(4, dtype=complex) / 4
+    h[0, 1] = 1.0
+    assert psd_lowest(h, DEFAULT_TOL) is None
+    with pytest.raises(ValueError, match=re.escape("not Hermitian: max |rho - rho^dag| = 1.000e+00")):
+        TwoQubitState(h)
+    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-09"
+    choi = np.eye(4, dtype=complex) / 2
+    choi[0, 1] = 1.0
+    monkeypatch.setattr(channels, "choi_from_kraus", lambda k: choi)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        channels._kraus_ptm(ID2[None])
 
 
 def _random_unitaries(rng, count, n):
