@@ -3,12 +3,10 @@
 Everything here operates on fixed tiny sizes: complex 2x2 and 4x4
 matrices (qubit operators, two-qubit operators, Kraus maps), real 3x3
 Bloch-space rotations and real 4x4 correlation and Pauli transfer
-matrices.  All functions are pure.
+matrices.  All functions are pure and hold no global state.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -71,27 +69,16 @@ def probability(p, what: str = "probability") -> float:
     return p
 
 
-@functools.cache
-def _shift(n: int, tol: float) -> np.ndarray:
-    """The read-only n x n matrix tol * I."""
-    shift = tol * np.eye(n)
-    shift.setflags(write=False)
-    return shift
-
-
 def psd_lowest(herm: np.ndarray, tol: float):
     """None if every Hermitian matrix in ``herm`` (..., n, n) has all
     eigenvalues >= -tol, else the lowest eigenvalue of the stack.
 
-    The stack passes at once when herm + tol * I factorizes by Cholesky;
-    only when it does not are the eigenvalues computed, to decide the
-    boundary and to report the lowest one.  Both read the lower triangle.
+    The eigensolve reads only the lower triangle.
     """
-    try:
-        np.linalg.cholesky(herm + _shift(herm.shape[-1], tol))
-        return None
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(herm)[..., 0].min()
+    low = np.linalg.eigvalsh(herm)[..., 0]
+    # one matrix's 0-d value as it is, off numpy's slow scalar min (about 3 us)
+    if low.ndim:
+        low = low.min()
     return None if low >= -tol else low
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 
@@ -238,9 +239,9 @@ def test_factorize_amplitude_damping():
 
 def test_factorize_round_trip_random_channels():
     """T = R1 (sign D) R2^T and the rebuilt affine map must reproduce the
-    original action on random Bloch vectors."""
+    original action on the 26 unit directions of the {-1, 0, 1}^3 lattice."""
     rng = np.random.default_rng(8)
-    probes = rng.normal(size=(26, 3))
+    probes = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(v)])
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     for _ in range(40):
         ch_a, _ = sample_unital_local(rng)

@@ -266,21 +266,6 @@ def test_suites_reject_negative_seed(monkeypatch):
             suite(n_trials=2, seed=-1)
 
 
-def test_accepted_unital_chunk_makes_one_eigensolve(monkeypatch):
-    # the states, channels and after-states pass their positivity checks by
-    # Cholesky; the one eigensolve left is the f_rsp spectra
-    eigvalsh, shapes = np.linalg.eigvalsh, []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    report = unital_monotonicity_suite(n_trials=64, seed=3)
-    assert report.passed
-    assert shapes == [(2, 64, 3, 3)]
-
-
 def test_suite_channels_match_sample_unital_local():
     # trial i's channels in the suite are those sample_unital_local builds
     # from the same generator after the state's draws
