@@ -80,7 +80,8 @@ class QubitChannel:
 
         Raises:
             ValueError: if the set is empty, an operator is not 2x2 or
-                has a non-finite entry, the set is not trace preserving
+                has a non-finite entry or one that overflows the Choi
+                matrix, the set is not trace preserving
                 within 1e-10, the transfer matrix carries imaginary
                 parts above 1e-10, or the Choi matrix is not Hermitian
                 within 1e-9, has trace other than 2 or is not PSD.
@@ -125,6 +126,12 @@ def _kraus_ptm(kraus: np.ndarray):
     if not np.isfinite(kraus).all():
         raise ValueError("Kraus operator entries must be finite")
     choi = choi_from_kraus(kraus)
+    # Kraus entries past the square root of the float maximum overflow the
+    # Choi matrix, and inf - inf in the Hermitian test is a NaN that passes
+    # every check; entries just below it overflow only the partial trace,
+    # which then reads inf and fails
+    if not np.isfinite(choi).all():
+        raise ValueError("Choi matrix entries must be finite: Kraus operator entries too large")
     choi_dag = choi.swapaxes(-1, -2).conj()
     dev = abs(choi - choi_dag).max()
     if dev > CHOI_TOL:
@@ -134,7 +141,8 @@ def _kraus_ptm(kraus: np.ndarray):
     # the partial trace over the output, sum_a choi[(i, a), (j, a)], is the
     # transpose of sum K^dag K; transposing leaves |. - I| as it is
     blocks = choi.reshape(choi.shape[:-2] + (2, 2, 2, 2))
-    dev = np.abs(blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1] - ID2).max()
+    with np.errstate(over="ignore"):
+        dev = np.abs(blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1] - ID2).max()
     if dev > DEFAULT_TOL:
         raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
     m = (choi.reshape(choi.shape[:-2] + (16,)) @ _CHOI_TO_PTM).reshape(choi.shape)

@@ -13,72 +13,15 @@ could not be completed, 2 input error.
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
-from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from . import channels, enhancement, measures, oracles, states
+from .text import _fields, _write_json
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Longest input file read: 1 MiB of ASCII JSON, room for a Kraus channel of
 # thousands of operators; a dense state takes under 1 KiB.
 MAX_INPUT_CHARS = 2**20
-
-
-def _fields(obj) -> dict:
-    """The fields of a dataclass instance by name, in order, as they are."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
-def _json_text(x, nl: str) -> str:
-    """JSON text of ``x`` with every float rounded to 12 significant digits,
-    as ``json.dumps`` writes it with an indent of two spaces; ``nl`` is the
-    newline and indent of x's line.
-
-    Takes dicts with string keys, lists, tuples, numpy arrays and scalars,
-    dataclass instances (read field by field), strings, bools, ints, floats
-    and None.
-
-    Raises:
-        TypeError: for any other type, as ``json.dumps`` does.
-    """
-    if isinstance(x, (float, np.floating)):
-        s = f"{float(x):.12g}"
-        return _NONFINITE.get(s) or repr(float(s))
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = nl + "  "
-        items = [_json_text(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = nl + "  "
-        # a key that is not a string fails in encode_basestring_ascii
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return int.__repr__(int(x))
-    if x is None:
-        return "null"
-    if isinstance(x, np.ndarray):
-        return _json_text(x.tolist(), nl)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _json_text(_fields(x), nl)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _write_json(payload) -> None:
-    """Write payload to stdout as indented JSON, in one write."""
-    sys.stdout.write(_json_text(payload, "\n") + "\n")
 
 
 def _parse_triple(text: str):

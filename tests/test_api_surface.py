@@ -80,6 +80,7 @@ def _unused_private_names():
 
 def test_public_names_are_used_or_kept():
     assert _unused_public_names() == set(KEEP)
+    assert len(KEEP) <= 8  # the keep list only shrinks
     for name in rsplab.__all__:
         assert hasattr(rsplab, name), name
 
@@ -98,3 +99,16 @@ def test_references_import_nothing_else_from_the_package():
             imported |= {(node.module, alias.name) for alias in node.names}
     assert {(module, name) for module, name in imported
             if module and module.split(".")[0] == "rsplab"} == REFERENCE_IMPORTS
+
+
+def test_text_imports_nothing_from_the_package():
+    # the number-to-text module is a leaf: stdlib and numpy only
+    tree = ast.parse((pathlib.Path(rsplab.__file__).parent / "text.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.module
+            imported.add(node.module.split(".")[0])
+    assert imported <= {"dataclasses", "functools", "json", "math", "sys", "numpy"}

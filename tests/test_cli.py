@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -11,9 +10,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import rsplab
 from rsplab import cli
@@ -221,6 +217,8 @@ def _bad_input_argvs(tmp_path):
         ("--channel-a", {"type": "amplitude_damping", "p": None}),
         ("--channel-a", {"type": "kraus", "ops": [1]}),
         ("--channel-a", {"type": ["kraus"]}),
+        # finite entries whose Choi matrix overflows: inf - inf is NaN
+        ("--channel-a", {"type": "kraus", "ops": [{"re": [[1e160, 0], [0, 1]]}]}),
         ("--channel-a", {"type": "discord_raising", "p": 0.3}),
         # under the file limit, so the value is parsed and its echo capped
         ("--state", {"type": "bell_diagonal", "c": [0.1] * 100_000}),
@@ -250,9 +248,9 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         errors.append(captured.err)
     assert errors[-4] == "error: channel type 'discord_raising' takes no 'p' field\n"
     assert errors[-3].endswith(" got " + repr([0.1] * 100_000)[:200] + "...\n")
-    assert errors[-2] == (f"error: {tmp_path / 'bad6.json'}: input file longer than "
+    assert errors[-2] == (f"error: {tmp_path / 'bad7.json'}: input file longer than "
                           f"{cli.MAX_INPUT_CHARS} characters\n")
-    assert errors[-1] == (f"error: {tmp_path / 'bad7.json'}: JSON integer literal too long "
+    assert errors[-1] == (f"error: {tmp_path / 'bad8.json'}: JSON integer literal too long "
                           f"(more than {sys.get_int_max_str_digits()} digits)\n")
 
 
@@ -303,6 +301,10 @@ def test_json_builtin_channels_match_inline(tmp_path, spec):
      "channel field 'p' holds an integer too large for a float"),
     ("--state", {"type": "dense", "re": np.full((4, 4), 1e308).tolist(),
                  "im": np.zeros((4, 4)).tolist()}, "trace differs from 1 by inf"),
+    ("--channel", {"type": "kraus", "ops": [{"re": [[1e160, 0.0], [0.0, 1.0]]}]},
+     "Choi matrix entries must be finite: Kraus operator entries too large"),
+    ("--channel", {"type": "kraus", "ops": [{"re": [[1.2e154, 0.0], [1.2e154, 0.0]]}]},
+     "not trace preserving: max |sum K^dag K - I| = inf"),
 ])
 def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
     # NaN passes every tolerance test, so it must be named before any
@@ -698,83 +700,3 @@ def test_verify_seeding_guard_exits_1():
     assert proc.stdout == b""
     assert proc.stderr.decode() == ("error: seeding differs from default_rng([seed, 0]) "
                                     f"of numpy {np.__version__}\n")
-
-
-# --- the JSON emitter ----------------------------------------------------------
-
-def _round12(x):
-    """The payload that json.dumps printed before the CLI had its own
-    emitter: floats rounded to 12 significant digits, containers and numpy
-    values made plain, dataclasses converted by dataclasses.asdict."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.12g}")
-    if isinstance(x, np.ndarray):
-        return _round12(x.tolist())
-    if isinstance(x, (list, tuple)):
-        return [_round12(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _round12(v) for k, v in x.items()}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _round12(dataclasses.asdict(x))
-    return x
-
-
-@dataclasses.dataclass(frozen=True)
-class _Report:
-    first: object
-    second: object
-
-
-# values at the switches of %.12g (1e12) and of repr (1e16 and 1e-5), and
-# where the 12-digit rounding carries into a new decade
-_EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999995e-6,
-                9.9999999999949e-6, 1e12, 999999999999.5, 999999999999.4,
-                1e16, 9999999999999998.0, 9.9999999999995e15, 1.7976931348623157e308,
-                0.1, 0.125, 1.0, 123456789012345.0, 0.30000000000000004]
-
-_floats = st.one_of(
-    st.floats(),
-    st.sampled_from(_EDGE_FLOATS).flatmap(lambda x: st.sampled_from([x, -x])),
-    st.floats(9e15, 1.1e16), st.floats(9e-6, 1.1e-5), st.floats(9e11, 1.1e12))
-_leaves = st.one_of(
-    _floats, st.integers(), st.booleans(), st.none(), st.text(),
-    st.sampled_from(['"', "\\", "\u00e9\u4e2d", "\n\t\x00", "\ud83d\ude00"]),
-    _floats.map(np.float64), st.floats(width=32).map(np.float32),
-    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
-               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
-_payloads = st.recursive(
-    _leaves,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(st.text(max_size=4), inner, max_size=4),
-                            st.builds(_Report, inner, inner)),
-    max_leaves=24)
-
-
-@settings(max_examples=200)
-@given(_payloads)
-def test_emitter_matches_json_dumps_of_rounded_payload(payload):
-    assert cli._json_text(payload, "\n") == json.dumps(_round12(payload), indent=2)
-
-
-def test_emitter_writes_payload_and_newline_at_once(monkeypatch):
-    writes = []
-    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
-    report = rsplab.measure_pair(bell_diagonal(0.5, 0.0, -0.5))
-    cli._write_json({"measures": report, "e": np.eye(2), "ok": True})
-    assert writes == [json.dumps(_round12({"measures": report, "e": np.eye(2), "ok": True}),
-                                 indent=2) + "\n"]
-
-
-@pytest.mark.parametrize("payload", [1j, np.bool_(True), {1, 2}, object(), np.complex128(1.0),
-                                     [0.5, {"x": b"bytes"}], np.array([1j]), {(1, 2): 0.5}])
-def test_emitter_rejects_what_json_rejects(payload):
-    with pytest.raises(TypeError):
-        json.dumps(_round12(payload), indent=2)
-    with pytest.raises(TypeError):
-        cli._json_text(payload, "\n")

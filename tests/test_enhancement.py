@@ -1,21 +1,16 @@
 import decimal
 import io
 import math
-import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsplab import enhancement
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
     EnhanceReport,
-    ScanResult,
     _crossings,
-    _write_rows,
     dg_under_damping,
     enhance_report,
     enhancibility_margin,
@@ -448,89 +443,6 @@ def test_scan_matches_pointwise_verdict():
     res = scan_tetrahedron(resolution=17)
     for pt, flag in zip(res.points, res.enhancible):
         assert flag == is_enhancible(tuple(float(v) for v in pt))
-
-
-def _ulps(x, k):
-    """x moved k ulps up (k > 0) or down."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
-# Floats that '%.12g' prints in every form: signed zeros, subnormals,
-# infinities, nan, and magnitudes from 1e-300 to 1e300.  Then the inputs
-# that are hard for the writer's scaled rounding: dyadic values n / 2^k
-# below 10^(13 - k) (with 13 significant digits and n odd, such a value
-# ends in 5: an exact tie at 12 digits), neighbours of 12-digit decimals
-# and of the midpoints between them, powers of ten and their neighbours,
-# where the exponent estimate can be one off, and integers.
-_CSV_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, math.inf,
-                     -math.inf, math.nan, 1e-300, -1e300, 0.1, 1.0 / 3.0]),
-    st.floats(min_value=1e-300, max_value=1e300).flatmap(
-        lambda x: st.sampled_from([x, -x])),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.builds(lambda u, k: u // 5**k / 2.0**k, st.integers(-10**13, 10**13), st.integers(1, 16)),
-    st.builds(lambda d, e, mid, k: _ulps(float(f"{d}{'5' if mid else ''}e{e - mid}"), k),
-              st.integers(10**11, 10**12 - 1), st.integers(-17, 2), st.booleans(),
-              st.integers(-3, 3)),
-    st.builds(lambda e, k, sign: sign * _ulps(float(f"1e{e}"), k),
-              st.integers(-6, 14), st.integers(-2, 2), st.sampled_from([1.0, -1.0])),
-    st.integers(-10**14, 10**14).map(float),
-)
-
-
-@settings(max_examples=150)
-@given(n_rows=st.integers(0, 13), width=st.integers(1, 4), chunk=st.integers(1, 5),
-       flag_column=st.booleans(), data=st.data())
-def test_write_rows_matches_per_row_format(n_rows, width, chunk, flag_column, data):
-    rows = st.lists(_CSV_FLOATS, min_size=n_rows, max_size=n_rows)
-    columns = [np.array(data.draw(rows), dtype=float) for _ in range(width)]
-    row_format = ",".join(["%.12g"] * width)
-    flags = None
-    reference = columns
-    if flag_column:  # the scan's true/false column
-        flags = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)),
-                         dtype=bool)
-        reference = columns + [np.where(flags, "true", "false")]
-        row_format += ",%s"
-    row_format += "\n"
-    expected = "h\n" + "".join(row_format % row
-                               for row in zip(*(col.tolist() for col in reference)))
-    buf = io.StringIO()
-    with mock.patch.object(enhancement, "_CSV_CHUNK", chunk):  # rows span chunks
-        _write_rows(buf, "h", columns, flags)
-    assert buf.getvalue() == expected
-
-
-def test_write_rows_memory_is_bounded_by_a_chunk():
-    # the writer's peak is one chunk's transient arrays, whatever the row
-    # count: at about 240 B a number, whole columns at once would take about
-    # 2 GiB for a resolution-201 scan
-    rng = np.random.default_rng(5)
-
-    class Sink:  # keeps no text, so only the writer's own arrays count
-        chars = 0
-
-        def write(self, text):
-            self.chars += len(text)
-
-    def peak(n):
-        result = ScanResult(resolution=2, points=rng.uniform(-1.0, 1.0, (n, 3)),
-                            enhancible=rng.random(n) < 0.25, fraction=0.25, symmetry={})
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            write_scan_csv(result, sink)
-            return tracemalloc.get_traced_memory()[1], sink.chars
-        finally:
-            tracemalloc.stop()
-
-    one, _ = peak(enhancement._CSV_CHUNK)
-    four, chars = peak(4 * enhancement._CSV_CHUNK)
-    assert chars > 4 * enhancement._CSV_CHUNK * 20
-    assert four < 1.5 * one
-    assert one < 2 * 2**20
 
 
 @settings(max_examples=20)
