@@ -22,7 +22,6 @@ from .channels import (
     factorize,
     identity_channel,
     phase_flip,
-    sample_unital_local,
 )
 from .enhancement import (
     EnhanceReport,
@@ -46,6 +45,7 @@ from .oracles import (
     gmqd_search_oracle,
     nonunital_increase_witness,
     protocol_fidelity_oracle,
+    sample_unital_local,
     unital_monotonicity_suite,
 )
 from .states import (

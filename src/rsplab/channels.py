@@ -10,15 +10,14 @@ Channels are built from Kraus operators: ``QubitChannel.from_kraus``
 reads M off their Choi matrix, which it checks for complete positivity.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form ``decompose --channel`` reports.
-The Kraus-to-M core and the construction of random unital channels
-work on stacks over leading axes; ``from_kraus`` and
-``sample_unital_local`` wrap them.
+The Kraus-to-M core and the builder of unital channels from weights and
+rotations work on stacks over leading axes.  This module draws nothing:
+``oracles`` draws random channels' parameters and builds them here.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -327,57 +326,7 @@ def factorize(ch: QubitChannel) -> ChannelFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Random unital channels
-
-# Floats one channel's draw yields: the Kraus weights w (4), then the unit
-# axis (3) and angle of U_a and of U_b.
-UNITAL_DRAW = 12
-
-
-def _axis_angle_draw(rng: np.random.Generator) -> list:
-    """[x, y, z, angle] of a rotation: the axis v / |v| uniform on the
-    sphere and the angle 2 pi r uniform on [0, 2pi).
-
-    v is a normal draw, redrawn while |v| <= 1e-12.  r is ``rng.random()``,
-    which takes the generator step that ``rng.uniform(0, 2pi)`` takes and
-    gives the same angle, 0 + 2pi r.
-    """
-    while True:
-        v = rng.normal(size=3)
-        n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
-        if n > 1e-12:
-            x, y, z = v.tolist()
-            return [x / n, y / n, z / n, 2.0 * math.pi * rng.random()]
-
-
-def _unital_draw(rng: np.random.Generator) -> list:
-    """The UNITAL_DRAW floats of one random unital channel
-    sqrt(w_k) U_a sigma_k U_b, drawn in order.
-
-    The scaling triple lambda is uniform on the CP tetrahedron with
-    corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
-    the cube: each coordinate is -1 + 2r, bit for bit what
-    ``rng.uniform(-1, 1)`` returns.  Its Kraus weights are w_k = s_k / 4
-    with s_k = 1 +- l0 +- l1 +- l2; each s_k is a multiple of 2^-52, so
-    scaling it by 1/4 is exact and keeps its sign.  Then come the
-    axis-angle draws of U_a and of U_b.
-    """
-    while True:
-        r0, r1, r2 = rng.random(3).tolist()
-        l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
-        s0, s1 = 1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2
-        s2, s3 = 1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2
-        if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0:
-            return [0.25 * s0, 0.25 * s1, 0.25 * s2, 0.25 * s3,
-                    *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
-
-
-def _unital_params(draws: np.ndarray):
-    """Kraus weights w (..., 4), unit axes (..., 2, 3) and angles (..., 2)
-    of channels with draws (..., UNITAL_DRAW) from ``_unital_draw``."""
-    rotations = draws[..., 4:].reshape(draws.shape[:-1] + (2, 4))
-    return draws[..., :4], rotations[..., :3], rotations[..., 3]
-
+# Unital channels from parameters
 
 # sigma_k has one nonzero entry per column m, s_k(m) in row p_k(m), so column
 # m of U sigma_k is s_k(m) times column p_k(m) of U: a signed permutation
@@ -399,9 +348,9 @@ def _pauli_sandwiches(u_a, u_b) -> np.ndarray:
 
 
 def _unital_channels(w, axes, angles):
-    """Transfer matrices (..., 4, 4) of the unital channels with
-    parameters from ``_unital_params``, batched over leading axes of
-    w (..., 4), axes (..., 2, 3) and angles (..., 2).
+    """Transfer matrices (..., 4, 4) of the unital channels with Kraus
+    operators sqrt(w_k) U_a sigma_k U_b, batched over leading axes of w
+    (..., 4) and of the unit axes (..., 2, 3) and angles (..., 2) of U_a, U_b.
 
     Raises:
         RuntimeError: if a channel's translation exceeds 1e-12.
@@ -413,18 +362,6 @@ def _unital_channels(w, axes, angles):
     if (np.sqrt((t * t).sum(-1)) > 1e-12).any():  # |t| as np.linalg.norm rounds it
         raise RuntimeError("sampled channel failed unitality")
     return ptm
-
-
-def sample_unital_local(seed) -> tuple:
-    """Pair of independent random local unital channels.
-
-    Each is rotation o diag(lambda) o rotation with lambda drawn
-    uniformly from the CP tetrahedron.  ``seed`` may be an integer seed
-    or a numpy Generator; results are deterministic per seed.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = np.array([_unital_draw(rng), _unital_draw(rng)])
-    return tuple(QubitChannel(m) for m in _unital_channels(*_unital_params(draws)))
 
 
 # ---------------------------------------------------------------------------

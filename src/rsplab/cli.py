@@ -7,8 +7,8 @@ discord_raising, identity) or JSON files.  Triples with a leading minus
 need the equals form, e.g. --c=-1,0,0.  Numbers print with 12
 significant digits so identical invocations give byte-identical output.
 
-Exit codes: 0 success, 1 verification failure or a verification that
-could not be completed, 2 input error.
+Exit codes: 0 success, 1 verification failure or a failed internal
+check (no result exists), 2 input error.
 """
 
 import argparse
@@ -156,7 +156,8 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _verify_reports(suite: str, seed: int, trials):
+def _cmd_verify(args) -> int:
+    suite, seed, trials = args.suite, args.seed, args.trials
     if trials is not None and trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if seed < 0:
@@ -176,16 +177,6 @@ def _verify_reports(suite: str, seed: int, trials):
     if suite in ("witness", "all"):
         reports.append(("witness", oracles.nonunital_increase_witness()))
         reports.append(("discord_raising", oracles.discord_raising_check()))
-    return reports
-
-
-def _cmd_verify(args) -> int:
-    try:
-        reports = _verify_reports(args.suite, args.seed, args.trials)
-    except RuntimeError as exc:
-        # an internal check failed, so no verdict exists; the input was valid
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     _write_json({label: rep.as_dict() for label, rep in reports})
     failed = [(label, rep) for label, rep in reports if not rep.passed]
     for label, rep in failed:
@@ -292,6 +283,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # an internal check failed, so no result exists; the input was
+        # valid.  Every handler computes before it writes, so stdout is empty
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,15 +8,18 @@ the correction axis.  The discord oracle searches classical-quantum
 states directly.  Both must land on the closed forms within stated
 tolerances without sharing any code with them.
 
-All randomness is derived per trial from (seed, trial index), so a
-suite's report depends only on its arguments.  The unital suite draws
-each trial's inputs in turn and then evaluates its trials as stacked
-arrays, a fixed-size chunk at a time.
+Every random input of the package is drawn here, under "Random
+inputs".  Each suite takes trial i's generator, in the state of
+``default_rng([seed, i])``, from ``seeding.trial_rngs``, so its report
+depends only on its arguments.  The unital suite draws each trial's
+inputs in turn and then evaluates its trials as stacked arrays, a
+fixed-size chunk at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,9 +284,66 @@ def bounded_purity_state(rng: np.random.Generator) -> TwoQubitState:
     return s
 
 
+# Floats one channel's draw yields: the Kraus weights w (4), then the unit
+# axis (3) and angle of U_a and of U_b.
+UNITAL_DRAW = 12
+
+
+def _axis_angle_draw(rng: np.random.Generator) -> list:
+    """[x, y, z, angle] of a rotation: the axis v / |v| uniform on the
+    sphere and the angle 2 pi r uniform on [0, 2pi).
+
+    v is a normal draw, redrawn while |v| <= 1e-12.  r is ``rng.random()``,
+    which takes the generator step that ``rng.uniform(0, 2pi)`` takes and
+    gives the same angle, 0 + 2pi r.
+    """
+    while True:
+        v = rng.normal(size=3)
+        n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
+        if n > 1e-12:
+            x, y, z = v.tolist()
+            return [x / n, y / n, z / n, 2.0 * math.pi * rng.random()]
+
+
+def _unital_draw(rng: np.random.Generator) -> list:
+    """The UNITAL_DRAW floats of one random unital channel
+    sqrt(w_k) U_a sigma_k U_b, drawn in order.
+
+    The scaling triple lambda is uniform on the CP tetrahedron with
+    corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
+    the cube: each coordinate is -1 + 2r, bit for bit what
+    ``rng.uniform(-1, 1)`` returns.  Its Kraus weights are w_k = s_k / 4
+    with s_k = 1 +- l0 +- l1 +- l2; each s_k is a multiple of 2^-52, so
+    scaling it by 1/4 is exact and keeps its sign.  Then come the
+    axis-angle draws of U_a and of U_b.
+    """
+    while True:
+        r0, r1, r2 = rng.random(3).tolist()
+        l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
+        s0, s1 = 1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2
+        s2, s3 = 1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2
+        if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0:
+            return [0.25 * s0, 0.25 * s1, 0.25 * s2, 0.25 * s3,
+                    *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
+
+
+def _unital_ptms(draws: np.ndarray) -> np.ndarray:
+    """Transfer matrices (..., 4, 4) of the unital channels with draws
+    (..., UNITAL_DRAW) from ``_unital_draw``."""
+    rotations = draws[..., 4:].reshape(draws.shape[:-1] + (2, 4))
+    return channels._unital_channels(draws[..., :4], rotations[..., :3], rotations[..., 3])
+
+
+def sample_unital_local(rng: np.random.Generator) -> tuple:
+    """Pair of independent random local unital channels, each rotation o
+    diag(lambda) o rotation with lambda uniform on the CP tetrahedron."""
+    draws = np.array([_unital_draw(rng), _unital_draw(rng)])
+    return tuple(channels.QubitChannel(m) for m in _unital_ptms(draws))
+
+
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Axis uniform on the sphere, angle uniform on [0, 2pi)."""
-    x, y, z, angle = channels._axis_angle_draw(rng)
+    x, y, z, angle = _axis_angle_draw(rng)
     return su2_axis_angle([x, y, z], angle)
 
 
@@ -310,27 +370,19 @@ def _unital_draws(rng: np.random.Generator) -> list:
     order from its generator as ``ginibre_state`` and
     ``sample_unital_local`` draw them: the 32 normals of the Ginibre
     matrix, then the draws of channels A and B."""
-    return [*rng.normal(size=32).tolist(), *channels._unital_draw(rng),
-            *channels._unital_draw(rng)]
+    return [*rng.normal(size=32).tolist(), *_unital_draw(rng), *_unital_draw(rng)]
 
 
-def _unital_inputs(draws: np.ndarray):
-    """Ginibre matrices G (n, 4, 4) and channel parameters w (n, 2, 4),
-    axes (n, 2, 2, 3) and angles (n, 2, 2) of trial draws
-    (n, 32 + 2 * UNITAL_DRAW) from ``_unital_draws``."""
-    return (_ginibre_from_normals(draws[:, :32]),
-            *channels._unital_params(draws[:, 32:].reshape(-1, 2, channels.UNITAL_DRAW)))
-
-
-def _unital_rises(g, w, axes, angles) -> np.ndarray:
-    """RSP-fidelity after minus before of stacked trials.
+def _unital_rises(draws: np.ndarray) -> np.ndarray:
+    """RSP-fidelity after minus before of stacked trials with draws
+    (n, 32 + 2 * UNITAL_DRAW) from ``_unital_draws``.
 
     The states rho = G G^dag / tr, the channels and the after-states are
     validated as ``ginibre_state``, ``sample_unital_local`` and
     ``apply_local`` validate them.
     """
-    c = states._coefficients(_normalized_gram(g))
-    ptm = channels._unital_channels(w, axes, angles)
+    c = states._coefficients(_normalized_gram(_ginibre_from_normals(draws[:, :32])))
+    ptm = _unital_ptms(draws[:, 32:].reshape(-1, 2, UNITAL_DRAW))
     _, after = states._composed(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
     f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]
@@ -351,7 +403,7 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
     for start in range(0, n_trials, SUITE_CHUNK):
         stop = min(start + SUITE_CHUNK, n_trials)
         draws = np.array([_unital_draws(r) for r in seeding.trial_rngs(seed, start, stop)])
-        rises = _unital_rises(*_unital_inputs(draws))
+        rises = _unital_rises(draws)
         k = int(np.argmax(rises))
         if rises[k] > worst:
             worst = float(rises[k])
@@ -419,8 +471,8 @@ def protocol_suite(n_trials: int = 50, seed: int = 0) -> OracleReport:
     _check_trials(n_trials)
     np.random.SeedSequence([seed, 0])  # numpy's seed check, before any state
     named = _named_states()
-    randoms = ((f"random_{i}", bounded_purity_state(np.random.default_rng([seed, i])))
-               for i in range(n_trials))
+    randoms = ((f"random_{i}", bounded_purity_state(rng))
+               for i, rng in enumerate(seeding.trial_rngs(seed, 0, n_trials)))
     worst_err = -1.0
     worst = None
     for label, state in itertools.chain(named, randoms):
@@ -441,8 +493,7 @@ def gmqd_suite(n_trials: int = 20, seed: int = 0) -> OracleReport:
     worst_err = -np.inf
     worst = None
     ok = True
-    for i in range(n_trials):
-        rng = np.random.default_rng([seed, i])
+    for i, rng in enumerate(seeding.trial_rngs(seed, 0, n_trials)):
         state = bell_diagonal(random_bell_params(rng))
         rep = gmqd_search_oracle(state, seed)
         err = rep.estimate - rep.reference

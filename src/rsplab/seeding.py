@@ -1,10 +1,10 @@
-"""Per-trial generator streams: the states of ``default_rng([seed, i])``
-for a whole range of trials i at once.
+"""Every suite's per-trial generators: the states of
+``default_rng([seed, i])`` for a range of trials i, a chunk at a time.
 
 Seeding ``default_rng([seed, i])`` afresh costs about 20 us a trial, most
 of it in numpy's SeedSequence hashing and PCG64 set-up, one trial at a
-time.  ``trial_rngs`` computes the same PCG64 states for a range of trials
-in one vectorized uint32 pass of that hashing, then the 128-bit seeding
+time.  ``trial_rngs`` computes the same PCG64 states in one vectorized
+uint32 pass of that hashing per chunk of trials, then the 128-bit seeding
 step in Python ints, and sets them in turn on one generator.  It checks
 the first state of each range against numpy's own ``default_rng``, so a
 change of numpy's algorithm raises instead of changing a stream.
@@ -25,6 +25,8 @@ _POOL = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
 _MASK128 = 2**128 - 1
+# Trials whose seed words ``trial_rngs`` computes in one pass.
+_CHUNK = 1024
 
 
 @functools.cache
@@ -110,8 +112,8 @@ def trial_rngs(seed, start: int, stop: int):
     The generator is ``default_rng([seed, start])`` itself: numpy's
     seeding of it validates ``seed``, and its fresh state checks the
     computed state of trial ``start``.  ``seed_words`` gives each trial's
-    (state, increment) seed as PCG64 takes it, and the 128-bit LCG
-    seeding step runs in Python ints.
+    (state, increment) seed as PCG64 takes it, ``_CHUNK`` trials at a
+    time, and the 128-bit LCG seeding step runs in Python ints.
 
     Raises:
         ValueError, TypeError: as numpy raises them for a bad seed.
@@ -120,7 +122,9 @@ def trial_rngs(seed, start: int, stop: int):
     rng = np.random.default_rng([seed, start])
     bitgen = rng.bit_generator
     state = bitgen.state
-    for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(seed_words(int(seed), start, stop)):
+    words = (w for lo in range(start, stop, _CHUNK)
+             for w in seed_words(int(seed), lo, min(lo + _CHUNK, stop)))
+    for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(words):
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
         pcg = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
         if j:

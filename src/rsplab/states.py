@@ -165,9 +165,15 @@ class TwoQubitState:
         rho = np.array(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-        self.c = _coefficients(rho)
+        object.__setattr__(self, "c", _coefficients(rho))
         rho.setflags(write=False)
-        self.rho = rho
+        object.__setattr__(self, "rho", rho)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TwoQubitState is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TwoQubitState is immutable: cannot delete {name!r}")
 
     @classmethod
     def from_coefficients(cls, c) -> "TwoQubitState":
@@ -183,7 +189,9 @@ class TwoQubitState:
         if c.shape != (4, 4):
             raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
         s = cls.__new__(cls)
-        s.rho, s.c = _composed(c)
+        rho, c = _composed(c)
+        object.__setattr__(s, "rho", rho)
+        object.__setattr__(s, "c", c)
         return s
 
     @property

@@ -10,7 +10,7 @@ import rsplab
 
 # Public names that no module of the package uses, each with why it stays.
 KEEP = {
-    "sample_unital_local": "the single-pair sampler the benchmark times and the "
+    "sample_unital_local": "the scalar reference route that the batched "
                            "monotonicity suite's draws are tested against",
     "evolve_closed_form": "acceptance criterion 04 compares it with apply_local",
     "enhancibility_margin": "acceptance criterion 09 reads the criterion's margin",
@@ -112,3 +112,27 @@ def test_text_imports_nothing_from_the_package():
             assert node.level == 0, node.module
             imported.add(node.module.split(".")[0])
     assert imported <= {"dataclasses", "functools", "json", "math", "sys", "numpy"}
+
+
+def _reads_numpy_random(node) -> bool:
+    """Whether a syntax node reads ``np.random`` or ``numpy.random``, or
+    names ``Generator``."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "Generator" or (node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")))
+    if isinstance(node, ast.Name):
+        return node.id == "Generator"
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").startswith("numpy.random")
+                or (node.module == "numpy" and any(a.name == "random" for a in node.names)))
+    return False
+
+
+def test_only_oracles_and_seeding_draw():
+    # every random input is drawn in oracles, from the trial streams that
+    # seeding computes; the other modules build and evaluate, never draw
+    drawing = {path.stem for path in pathlib.Path(rsplab.__file__).parent.glob("*.py")
+               if any(map(_reads_numpy_random, ast.walk(ast.parse(path.read_text()))))}
+    assert drawing == {"oracles", "seeding"}

@@ -24,10 +24,9 @@ from rsplab.channels import (
     factorize,
     identity_channel,
     phase_flip,
-    sample_unital_local,
 )
 from rsplab.linalg import CHOI_TOL, ID2, PAULI_BASIS, SIGMA_Z, psd_lowest, su2_axis_angle
-from rsplab.oracles import random_bell_params, random_unitary
+from rsplab.oracles import random_bell_params, random_unitary, sample_unital_local
 from rsplab.states import TwoQubitState, bell_diagonal
 
 from references import CP_TOL, affine_to_kraus, choi_from_affine, rotation_axis_angle
@@ -528,8 +527,8 @@ def test_sample_unital_channels_are_valid():
 
 
 def test_sample_unital_deterministic_by_seed():
-    a1, b1 = sample_unital_local(321)
-    a2, b2 = sample_unital_local(321)
+    a1, b1 = sample_unital_local(np.random.default_rng(321))
+    a2, b2 = sample_unital_local(np.random.default_rng(321))
     assert np.allclose(a1.affine.tmat, a2.affine.tmat)
     assert np.allclose(b1.affine.tmat, b2.affine.tmat)
 

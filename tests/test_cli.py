@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rsplab
-from rsplab import cli
+from rsplab import channels, cli, measures
 from rsplab.cli import build_parser, main
 from rsplab.enhancement import is_enhancible, p_opt
 from rsplab.states import bell_diagonal, state_to_json
@@ -688,6 +688,58 @@ def test_module_entry_point():
         assert proc.returncode == 0
         assert proc.stderr == b""
         assert proc.stdout == out.encode()
+
+
+def _low_dg(monkeypatch):
+    """d_g 1e-6 below f_rsp, which the ordering check refuses."""
+    spectra = measures.spectra
+
+    def low(c):
+        f, _, e_sq, lam_max = spectra(c)
+        return f, f - 1e-6, e_sq, lam_max
+    monkeypatch.setattr(measures, "spectra", low)
+
+
+def _shifted_round_trip(monkeypatch):
+    """A rebuilt translation 1e-6 off the channel's own."""
+    as_affine = channels.ChannelFactorization.as_affine
+
+    def shifted(fac):
+        t, tmat = as_affine(fac)
+        return channels.AffineRep(t + 1e-6, tmat)
+    monkeypatch.setattr(channels.ChannelFactorization, "as_affine", shifted)
+
+
+def _nonunital_sample(monkeypatch):
+    """Transfer matrices whose translation is 1e-6 off zero."""
+    kraus_ptm = channels._kraus_ptm
+
+    def shifted(kraus):
+        ptm = kraus_ptm(kraus)
+        ptm[..., 1, 0] += 1e-6
+        return ptm
+    monkeypatch.setattr(channels, "_kraus_ptm", shifted)
+
+
+@pytest.mark.parametrize("argv, force, message", [
+    (["measure", "--state", "bell:0.5,0,-0.5"], _low_dg, "ordering violated"),
+    (["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", "amplitude_damping:0.3"],
+     _low_dg, "ordering violated"),
+    (["decompose", "--channel", "discord_raising"], _shifted_round_trip,
+     "factorization round-trip error"),
+    (["verify", "--suite", "monotonicity", "--trials", "3"], _nonunital_sample,
+     "sampled channel failed unitality"),
+], ids=["measure", "apply", "decompose-channel", "verify"])
+def test_internal_check_failure_exits_1(capsys, monkeypatch, argv, force, message):
+    # a failed internal check leaves no result: one error line, nothing on
+    # stdout, exit 1, whichever command it stops
+    force(monkeypatch)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_seeding_guard_exits_1():

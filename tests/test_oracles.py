@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsplab import channels, oracles, seeding
-from rsplab.channels import apply_local, depolarizing, phase_flip, sample_unital_local
+from rsplab.channels import apply_local, depolarizing, phase_flip
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.oracles import (
@@ -26,6 +26,7 @@ from rsplab.oracles import (
     protocol_suite,
     random_bell_params,
     random_unitary,
+    sample_unital_local,
     unital_monotonicity_suite,
 )
 from rsplab.states import bell_diagonal, bell_eigenvalues
@@ -201,24 +202,47 @@ def _reference_pair(rng):
     return [np.array(x) for x in zip(_reference_channel(rng), _reference_channel(rng))]
 
 
+def _unital_split(monkeypatch, draws):
+    """What ``_unital_rises`` reads off trial draws: the Ginibre matrices
+    it passes to ``_normalized_gram``, and the parameters (w, axes,
+    angles) it passes to ``channels._unital_channels`` with the transfer
+    matrices that call returns."""
+    seen = {}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            seen[name] = args, fn(*args)
+            return seen[name][1]
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(oracles, "_normalized_gram")
+    spy(channels, "_unital_channels")
+    oracles._unital_rises(draws)
+    (g,), _ = seen["_normalized_gram"]
+    params, ptm = seen["_unital_channels"]
+    return g, params, ptm
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_unital_draws_match_uniform_and_normal_calls(seed):
+def test_unital_draws_match_uniform_and_normal_calls(seed, monkeypatch):
     n = SUITE_CHUNK + 1
     draws = np.array([oracles._unital_draws(np.random.default_rng([seed, i]))
                       for i in range(n)])
-    got = oracles._unital_inputs(draws)
+    g, params, _ = _unital_split(monkeypatch, draws)
     ref_g, ref_params = [], []
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         re = rng.normal(size=(4, 4))
         ref_g.append(re + 1.0j * rng.normal(size=(4, 4)))
         ref_params.append(_reference_pair(rng))
-    assert np.array_equal(got[0], np.array(ref_g))
-    for got_x, ref_x in zip(got[1:], zip(*ref_params)):
+    assert np.array_equal(g, np.array(ref_g))
+    for got_x, ref_x in zip(params, zip(*ref_params)):
         assert np.array_equal(got_x, np.array(ref_x))
     # sample_unital_local draws its pair the same way
     ptm = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
-    for ch, m in zip(sample_unital_local(seed), ptm):
+    for ch, m in zip(sample_unital_local(np.random.default_rng(seed)), ptm):
         assert np.array_equal(ch.ptm, m)
 
 
@@ -235,6 +259,24 @@ def test_trial_states_match_default_rng(seed):
         states = [r.bit_generator.state for r in seeding.trial_rngs(seed, start, stop)]
         assert states == [np.random.default_rng([seed, i]).bit_generator.state
                           for i in range(start, stop)]
+
+
+def test_trial_states_run_across_seed_word_chunks(monkeypatch):
+    monkeypatch.setattr(seeding, "_CHUNK", 4)
+    states = [r.bit_generator.state for r in seeding.trial_rngs(5, 3, 14)]
+    assert states == [np.random.default_rng([5, i]).bit_generator.state for i in range(3, 14)]
+
+
+def test_trial_rngs_memory_bounded_by_chunk():
+    # a long range computes its seed words as they are consumed: the first
+    # generator of 10^5 trials costs about what 10^3 cost
+    tracemalloc.start()
+    try:
+        next(seeding.trial_rngs(0, 0, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_seed_words_reject_out_of_range():
@@ -266,12 +308,12 @@ def test_suites_reject_negative_seed(monkeypatch):
             suite(n_trials=2, seed=-1)
 
 
-def test_suite_channels_match_sample_unital_local():
+def test_suite_channels_match_sample_unital_local(monkeypatch):
     # trial i's channels in the suite are those sample_unital_local builds
     # from the same generator after the state's draws
     seed, n = 6, 25
     draws = np.array([oracles._unital_draws(r) for r in seeding.trial_rngs(seed, 0, n)])
-    ptm = channels._unital_channels(*oracles._unital_inputs(draws)[1:])
+    _, _, ptm = _unital_split(monkeypatch, draws)
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         ginibre_state(rng)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsplab.channels import _product_action, amplitude_damping, sample_unital_local
+from rsplab.channels import _product_action, amplitude_damping
 from rsplab.enhancement import evolve_closed_form
 from rsplab.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_angle
-from rsplab.oracles import ginibre_state, random_bell_params
+from rsplab.oracles import ginibre_state, random_bell_params, sample_unital_local
 from rsplab.states import (
     TwoQubitState,
     _checked,
@@ -247,6 +247,14 @@ def test_states_are_immutable():
     for arr in (t.rho, t.c):
         with pytest.raises(ValueError):
             arr[0, 0] = 9.0
+    # neither constructor's state rebinds or drops its matrices
+    for state in (s, t):
+        for name in ("rho", "c"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(state, name, np.eye(4))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(state, name)
+    assert np.array_equal(s.rho, t.rho) and np.array_equal(s.c, t.c)
 
 
 # --- batched cores -----------------------------------------------------------
