@@ -191,16 +191,18 @@ def p_opt(c) -> float:
 
     Raises:
         ValueError: when called on a non-enhancible state.
+        RuntimeError: if f at p_opt +- 1e-4 beats f at p_opt.
     """
-    params = as_bell_params(c)
-    rep = enhance_report(params)
-    if not rep.enhancible:
+    point = np.reshape(as_bell_params(c).as_tuple(), (3, 1))
+    crit, idx, f_opt = _verdict(*point)
+    if not idx.size:
         raise ValueError("state is not enhancible")
+    p = 1.0 - float(crit.q1[0])
     # post-check: local maximality
-    probes = np.array([max(0.0, rep.p_opt - 1e-4), min(1.0, rep.p_opt + 1e-4)])
-    if (_damped(*params.as_tuple(), probes, 1.0 - probes)[0] > rep.f_after + GAIN_TOL).any():
+    probes = np.array([max(0.0, p - 1e-4), min(1.0, p + 1e-4)])
+    if (_damped(*point, probes, 1.0 - probes)[0] > f_opt[0] + GAIN_TOL).any():
         raise RuntimeError("p_opt is not a local maximum")
-    return rep.p_opt
+    return p
 
 
 def sweep_best_p(c, n: int = 10000):
@@ -213,11 +215,13 @@ def sweep_best_p(c, n: int = 10000):
 
 @dataclass(frozen=True)
 class EnhanceReport:
-    """Summary of the enhancement analysis for one Bell-diagonal state.
+    """Summary of the enhancement analysis for one Bell-diagonal state, a
+    plain record that ``enhance_report`` fills.
 
     q1 and p_opt are None when the branch analysis does not apply
     (maximally mixed, or |c3| > max(|c1|,|c2|)); p_opt = 1 - q1 whenever
-    both are present, regardless of the verdict.
+    both are present, regardless of the verdict.  f_after is f at p_opt,
+    above f_before + 1e-12, if enhancible, else f_before.
     """
 
     c: float
@@ -226,12 +230,6 @@ class EnhanceReport:
     p_opt: Optional[float]
     f_before: float
     f_after: float
-
-    def __post_init__(self):
-        if self.q1 is not None and self.p_opt != 1.0 - self.q1:
-            raise ValueError("p_opt must equal 1 - q1")
-        if self.enhancible and not self.f_after > self.f_before + GAIN_TOL:
-            raise ValueError("enhancible report must show a strict gain")
 
 
 def enhance_report(c) -> EnhanceReport:
@@ -266,10 +264,6 @@ class EvolutionTrace:
     sudden_changes: tuple
     zero_touches: tuple
 
-    def __post_init__(self):
-        if not np.all(np.diff(self.gamma_t) > 0.0):
-            raise ValueError("gamma_t grid must be strictly increasing")
-
 
 _PROBE = 1e-6  # half-width of the sign test around a polynomial root
 
@@ -299,7 +293,9 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     below gamma_t_max; steps does not move it.  With c = max(|c1|,|c2|):
     f kinks solve E33 = +-c q (a discriminant <= 0 is a tangency, a tie),
     dg kinks are sign changes of (E33^2 + p^2 - c^2 q^2)(1 + u)^4 and zero
-    touches solve E33 = 0 where f <= 1e-10 but d_g >= 1e-6.
+    touches solve E33 = 0 where f <= 1e-10 but d_g >= 1e-6.  Before any
+    of that, steps, gamma_t_max and the strict increase of their grid are
+    checked (ValueError).
     """
     c1, c2, c3 = as_bell_params(c).as_tuple()
     gamma_t_max = float(gamma_t_max)
@@ -309,6 +305,10 @@ def trace_evolution(c, gamma_t_max: float, steps: int = 2001) -> EvolutionTrace:
     if not 0.0 < gamma_t_max < math.inf:  # NaN fails both comparisons
         raise ValueError(f"gamma_t_max must be positive and finite, got {gamma_t_max}")
     gts = np.linspace(0.0, gamma_t_max, steps)
+    # a gamma_t_max of fewer subnormal spacings than steps repeats grid values
+    if not (np.diff(gts) > 0.0).all():
+        raise ValueError(f"gamma_t grid not strictly increasing: gamma_t_max "
+                         f"{gamma_t_max!r} is too small for {steps} steps")
     q = np.exp(-gts)
     p = 1.0 - q
     f_vals, dg_vals = _damped(c1, c2, c3, p, q)

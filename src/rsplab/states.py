@@ -100,8 +100,11 @@ def _read_off(rho: np.ndarray, herm: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(rho: np.ndarray) -> np.ndarray:
-    """Checked coefficient matrices C (..., 4, 4) of density matrices
-    rho (..., 4, 4): the batched core of ``TwoQubitState(rho)``.
+    """Read-only coefficient matrices C (..., 4, 4) of density matrices
+    rho (..., 4, 4): the batched core of ``TwoQubitState(rho)``.  Unit
+    trace and positivity within DEFAULT_TOL bound |a|, |b| by 1 + 5e-10
+    and |E_kl| by 1 + 7e-10, inside ``_checked``'s 1e-9, so C is not
+    checked again.
 
     Raises:
         ValueError: if any entry is not finite, or any matrix is not
@@ -128,7 +131,8 @@ def _coefficients(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
     c = coeff.real.copy()
     c[..., 0, 0] = 1.0  # tr(rho), already checked to be 1 within DEFAULT_TOL
-    return _checked(c)
+    c.setflags(write=False)
+    return c
 
 
 def _composed(c: np.ndarray):

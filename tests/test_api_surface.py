@@ -136,3 +136,14 @@ def test_only_oracles_and_seeding_draw():
     drawing = {path.stem for path in pathlib.Path(rsplab.__file__).parent.glob("*.py")
                if any(map(_reads_numpy_random, ast.walk(ast.parse(path.read_text()))))}
     assert drawing == {"oracles", "seeding"}
+
+
+def test_only_bell_params_check_themselves():
+    # result records hold values; each invariant is checked where its value
+    # is computed, and only the input triple checks itself on construction
+    trees, _ = _package_trees()
+    checking = {f"{stem}.{node.name}" for stem, tree in trees.items()
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and any(isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__"
+                        for sub in node.body)}
+    assert checking == {"states.BellDiagonalParams"}

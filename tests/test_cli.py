@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rsplab
-from rsplab import channels, cli, measures
+from rsplab import channels, cli, enhancement, measures
 from rsplab.cli import build_parser, main
 from rsplab.enhancement import is_enhancible, p_opt
 from rsplab.states import bell_diagonal, state_to_json
@@ -211,7 +211,9 @@ def _bad_input_argvs(tmp_path):
     argvs = [["enhance", "--c=1,2"],
              ["measure", "--state", "no_such_file.json"],
              ["apply", "--state", "bell:0,0,0", "--channel-a", "identity:0.3"],
-             ["measure", "--state", "bell:0.1,0.2"]]
+             ["measure", "--state", "bell:0.1,0.2"],
+             # a grid finer than the subnormal spacing
+             ["evolve", "--c=0.5,0,-0.5", "--gamma-t-max", "1e-320", "--steps", "10000"]]
     bad_files = [
         ("--state", {"type": "bell_diagonal", "c": 5}),
         ("--channel-a", {"type": "amplitude_damping", "p": None}),
@@ -246,6 +248,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and len(captured.err) <= 300
         assert captured.out == ""
         errors.append(captured.err)
+    assert errors[4] == ("error: gamma_t grid not strictly increasing: gamma_t_max 1e-320 "
+                         "is too small for 10000 steps\n")
     assert errors[-4] == "error: channel type 'discord_raising' takes no 'p' field\n"
     assert errors[-3].endswith(" got " + repr([0.1] * 100_000)[:200] + "...\n")
     assert errors[-2] == (f"error: {tmp_path / 'bad7.json'}: input file longer than "
@@ -690,14 +694,16 @@ def test_module_entry_point():
         assert proc.stdout == out.encode()
 
 
-def _low_dg(monkeypatch):
-    """d_g 1e-6 below f_rsp, which the ordering check refuses."""
-    spectra = measures.spectra
+def _low_dg(gap):
+    """A force that puts d_g gap below f_rsp, which the ordering check refuses."""
+    def force(monkeypatch):
+        spectra = measures.spectra
 
-    def low(c):
-        f, _, e_sq, lam_max = spectra(c)
-        return f, f - 1e-6, e_sq, lam_max
-    monkeypatch.setattr(measures, "spectra", low)
+        def low(c):
+            f, _, e_sq, lam_max = spectra(c)
+            return f, f - gap, e_sq, lam_max
+        monkeypatch.setattr(measures, "spectra", low)
+    return force
 
 
 def _shifted_round_trip(monkeypatch):
@@ -721,15 +727,28 @@ def _nonunital_sample(monkeypatch):
     monkeypatch.setattr(channels, "_kraus_ptm", shifted)
 
 
+def _low_f_opt(monkeypatch):
+    """f at p_opt 1e-3 lower than computed, so p_opt is no local maximum."""
+    verdict = enhancement._verdict
+
+    def low(*args):
+        crit, idx, f_opt = verdict(*args)
+        return crit, idx, f_opt - 1e-3
+    monkeypatch.setattr(enhancement, "_verdict", low)
+
+
 @pytest.mark.parametrize("argv, force, message", [
-    (["measure", "--state", "bell:0.5,0,-0.5"], _low_dg, "ordering violated"),
+    (["measure", "--state", "bell:0.5,0,-0.5"], _low_dg(1e-6), "ordering violated"),
+    # a gap under 1e-9 but over ORDER_TOL fails the one ordering check
+    (["measure", "--state", "bell:0.5,0,-0.5"], _low_dg(5e-10), "ordering violated"),
     (["apply", "--state", "bell:0.5,0,-0.5", "--channel-a", "amplitude_damping:0.3"],
-     _low_dg, "ordering violated"),
+     _low_dg(1e-6), "ordering violated"),
     (["decompose", "--channel", "discord_raising"], _shifted_round_trip,
      "factorization round-trip error"),
     (["verify", "--suite", "monotonicity", "--trials", "3"], _nonunital_sample,
      "sampled channel failed unitality"),
-], ids=["measure", "apply", "decompose-channel", "verify"])
+    (["verify", "--suite", "witness"], _low_f_opt, "p_opt is not a local maximum"),
+], ids=["measure", "measure-5e-10", "apply", "decompose-channel", "verify", "verify-witness"])
 def test_internal_check_failure_exits_1(capsys, monkeypatch, argv, force, message):
     # a failed internal check leaves no result: one error line, nothing on
     # stdout, exit 1, whichever command it stops

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
-    EnhanceReport,
+    GAIN_TOL,
     _crossings,
     dg_under_damping,
     enhance_report,
@@ -27,6 +27,7 @@ from rsplab.enhancement import (
     write_trace_csv,
 )
 from rsplab.measures import gmqd, rsp_fidelity
+from rsplab.oracles import random_bell_params
 from rsplab.states import BellDiagonalParams, bell_diagonal, bell_eigenvalues
 
 from references import parse_scan_csv, parse_trace_csv
@@ -228,10 +229,32 @@ def test_enhance_report_fields():
     assert rep.f_after == rep.f_before
 
 
-def test_enhance_report_validates_gain():
-    with pytest.raises(ValueError):
-        EnhanceReport(c=1.0, enhancible=True, q1=0.4, p_opt=0.6,
-                      f_before=0.5, f_after=0.5)
+# Tetrahedron points: seeded uniform draws, and exact dyadic triples, which
+# hit the corners, edges, faces and |c3| = max(|c1|, |c2|) ties that draws miss.
+TETRA_POINTS = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_bell_params(np.random.default_rng(seed)).as_tuple()),
+    st.tuples(*[st.integers(-32, 32)] * 3).map(lambda k: tuple(x / 32 for x in k))
+    .filter(lambda c: bell_eigenvalues(*c).min() >= 0.0))
+
+
+@settings(max_examples=300)
+@given(c=TETRA_POINTS)
+def test_enhance_report_holds_its_invariants_by_construction(c):
+    # an EnhanceReport checks nothing itself; its one producer sets its fields
+    rep = enhance_report(c)
+    if rep.q1 is not None:
+        assert rep.p_opt == 1.0 - rep.q1
+    assert rep.enhancible == (rep.f_after > rep.f_before + GAIN_TOL)
+    if not rep.enhancible:
+        assert rep.f_after == rep.f_before
+    # the scalar entry points read the same verdict
+    assert is_enhancible(c) == rep.enhancible
+    if rep.enhancible:
+        assert p_opt(c) == rep.p_opt
+    else:
+        with pytest.raises(ValueError, match="not enhancible"):
+            p_opt(c)
 
 
 # --- traces -----------------------------------------------------------------
@@ -407,6 +430,9 @@ def test_trace_rejects_bad_grid():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             trace_evolution(DEMO_C, bad)
+    # a grid finer than the subnormal spacing repeats values: an input error
+    with pytest.raises(ValueError, match="gamma_t_max 1e-320 is too small for 10000 steps"):
+        trace_evolution(DEMO_C, 1e-320, steps=10000)
 
 
 # --- scans ------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsplab import measures
 from rsplab.channels import apply_local, discord_raising, identity_channel
 from rsplab.linalg import su2_axis_angle
-from rsplab.measures import gmqd, measure_pair, rsp_fidelity, spectra
-from rsplab.oracles import ginibre_state, random_unitary
+from rsplab.measures import ORDER_TOL, gmqd, measure_pair, rsp_fidelity, spectra
+from rsplab.oracles import ginibre_state, random_bell_params, random_unitary
 from rsplab.states import TwoQubitState, bell_diagonal, local_unitary
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -238,10 +239,34 @@ def test_random_cq_states_have_zero_discord():
         assert gmqd(s) <= 1e-10
 
 
-def test_measure_pair_detects_ordering_violation():
-    # sanity of the internal guard: build a report through the public path
-    rep = measure_pair(bell_diagonal(0, 0, 0))
-    assert rep.d_g >= rep.f_rsp - 1e-10
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["ginibre", "bell"]), seed=st.integers(0, 2**32 - 1))
+def test_measure_pair_holds_its_invariants_by_construction(kind, seed):
+    # a MeasureReport checks nothing itself: measure_pair gives e_sq as
+    # descending floats, and d_g >= f_rsp within its one ordering check
+    rng = np.random.default_rng(seed)
+    s = ginibre_state(rng) if kind == "ginibre" else bell_diagonal(random_bell_params(rng))
+    rep = measure_pair(s)
+    assert all(type(v) is float for v in rep.e_sq)
+    assert list(rep.e_sq) == sorted(rep.e_sq, reverse=True)
+    assert rep.d_g >= rep.f_rsp - ORDER_TOL
+
+
+def test_measure_pair_detects_ordering_violation(monkeypatch):
+    # the one ordering check: d_g forced below f_rsp passes within ORDER_TOL
+    # and raises RuntimeError beyond it
+    s = bell_diagonal(0.5, 0.0, -0.5)
+    true_spectra = measures.spectra
+    for gap in (0.5 * ORDER_TOL, 2.0 * ORDER_TOL):
+        def low(c, gap=gap):
+            f, _, e_sq, lam_max = true_spectra(c)
+            return f, f - gap, e_sq, lam_max
+        monkeypatch.setattr(measures, "spectra", low)
+        if gap < ORDER_TOL:
+            assert measure_pair(s).d_g == pytest.approx(0.125 - gap, abs=1e-15)
+        else:
+            with pytest.raises(RuntimeError, match="ordering violated"):
+                measure_pair(s)
 
 
 def test_range_bounds():

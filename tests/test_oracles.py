@@ -31,12 +31,6 @@ from rsplab.oracles import (
 )
 from rsplab.states import bell_diagonal, bell_eigenvalues
 
-def test_report_checks_abs_err():
-    with pytest.raises(ValueError):
-        OracleReport(estimate=1.0, reference=0.5, abs_err=0.1,
-                     trials=1, seed=0, config={})
-
-
 def test_report_as_dict_keys():
     rep = OracleReport(estimate=1.0, reference=0.5, abs_err=0.5,
                        trials=3, seed=9, config={"n_beta": 24})

@@ -2,13 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsplab.channels import _product_action, amplitude_damping
 from rsplab.enhancement import evolve_closed_form
-from rsplab.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_angle
-from rsplab.oracles import ginibre_state, random_bell_params, sample_unital_local
+from rsplab.linalg import DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_angle
+from rsplab.oracles import ginibre_state, random_bell_params, random_unitary, sample_unital_local
 from rsplab.states import (
     TwoQubitState,
     _checked,
@@ -297,6 +297,48 @@ def test_coefficients_batch_reports_scalar_message(spoil):
         TwoQubitState(rhos[3])
     with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
         _coefficients(rhos)
+
+
+# Columns: the Bell kets (|00> + |11>, |01> + |10>, |01> - |10>, |00> - |11>) / sqrt(2).
+BELL_BASIS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / np.sqrt(2.0)
+
+
+def _eigenbasis(kind, rng):
+    if kind == "computational":
+        return np.eye(4)
+    if kind == "bell":
+        return BELL_BASIS[:, rng.permutation(4)]
+    if kind == "product":
+        return np.kron(random_unitary(rng), random_unitary(rng))
+    return np.linalg.qr(rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4)))[0]
+
+
+@settings(max_examples=400)
+@given(kind=st.sampled_from(["computational", "bell", "product", "random"]),
+       seed=st.integers(0, 2**32 - 1),
+       weights=st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0)]),
+                         st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0.0)),
+       delta=st.floats(0.0, 1e-11),
+       trace_dev=st.floats(-DEFAULT_TOL, DEFAULT_TOL))
+def test_dense_coefficients_within_checked_bounds(kind, seed, weights, delta, trace_dev):
+    # _coefficients skips _checked: a rho that passes the trace and PSD
+    # checks, with its lowest eigenvalue -DEFAULT_TOL + delta and the rest
+    # spread by weights, has |a|, |b| <= 1 + 5e-10 and |E_kl| <= 1 + 7e-10,
+    # at least 3e-10 inside _checked's 1e-9
+    low = -DEFAULT_TOL + delta
+    w = np.array([0.0, *weights])
+    lam = low + (1.0 + trace_dev - 4.0 * low) * (w / w.sum())
+    u = _eigenbasis(kind, np.random.default_rng(seed))
+    rho = (u * lam) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    try:
+        c = _coefficients(rho)
+    except ValueError:
+        assume(False)
+    assert c[0, 0] == 1.0
+    assert max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= 1.0 + 5e-10 + 1e-12
+    assert abs(c[1:, 1:]).max() <= 1.0 + 7e-10 + 1e-12
+    _checked(c)
 
 
 def test_checked_batch_reports_scalar_message():
