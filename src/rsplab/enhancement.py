@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import probability
-from .states import BELL_TOL, TwoQubitState, as_bell_params, bell_eigenvalues
+from .states import BELL_TOL, TwoQubitState, as_bell_params
 from .text import _write_rows
 
 # Size limits, checked before anything is allocated: a scan holds
@@ -447,8 +447,6 @@ def profile_line(n: int = 201) -> np.ndarray:
         raise ValueError(f"points must lie in [2, {MAX_POINTS}], got {n}")
     c1 = np.linspace(-1.0, 1.0, n)
     c2 = np.full(n, -1.0)
-    if bell_eigenvalues(c1, c2, c1).min() < -BELL_TOL:
-        raise ValueError("profile line leaves the Bell tetrahedron")
     f_before = _damped(c1, c2, c1, 0.0, 1.0)[0]
     _, idx, f_opt = _verdict(c1, c2, c1, f_before)
     rows = np.column_stack([c1, f_before, f_before])

@@ -381,7 +381,7 @@ def _unital_rises(draws: np.ndarray) -> np.ndarray:
     """
     c = states._coefficients(_normalized_gram(_ginibre_from_normals(draws[:, :32])))
     ptm = _unital_ptms(draws[:, 32:].reshape(-1, 2, UNITAL_DRAW))
-    _, after = states._composed(channels._product_action(ptm[:, 0], c, ptm[:, 1]))
+    after = states._coefficients(states._density(channels._product_action(ptm[:, 0], c, ptm[:, 1])))
     f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]
 

@@ -10,14 +10,13 @@ blocks are C[0, 0] = 1, the local Bloch vectors a = C[1:, 0] and
 b = C[0, 1:], and the 3x3 correlation matrix E = C[1:, 1:].  All
 measure computations downstream read C, never the raw matrix, so
 construction is the single source of numerical truth.  ``TwoQubitState``
-checks a density matrix from outside; ``from_coefficients`` composes rho
-from a C.  Both read C off rho by one map, and each has one core that
-works on stacks over leading axes.
+takes a density matrix from outside; ``from_coefficients`` composes rho
+from a C.  Both read C back off rho through ``_coefficients``, the one
+check of every state, which works on stacks over leading axes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,44 +66,12 @@ def _top(values):
     return values.max() if values.ndim else values
 
 
-def _checked(c: np.ndarray) -> np.ndarray:
-    """Validate coefficient matrices (..., 4, 4) and make them read-only.
-
-    A message with a number gives the worst entry of the stack.
-    """
-    if not np.isfinite(c).all():
-        raise ValueError("decomposition entries must be finite")
-    dev = abs(c[..., 0, 0] - 1.0)
-    if _top(dev) > 1e-9:
-        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {float(c[..., 0, 0].flat[dev.argmax()])!r}")
-    sq = c * c
-    if math.sqrt(max(_top(sq[..., 1:, 0].sum(-1)), _top(sq[..., 0, 1:].sum(-1)))) > 1 + 1e-9:
-        raise ValueError("Bloch vector norm exceeds 1")
-    if abs(c[..., 1:, 1:]).max() > 1 + 1e-9:
-        raise ValueError("correlation matrix entry exceeds 1 in magnitude")
-    c.setflags(write=False)
-    return c
-
-
-def _read_off(rho: np.ndarray, herm: np.ndarray) -> np.ndarray:
-    """Complex coefficient matrices of matrices rho (..., 4, 4), each
-    checked to have unit trace and a PSD Hermitian part herm within
-    DEFAULT_TOL; a message gives the worst value of the stack."""
-    tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
-    if tr_dev > DEFAULT_TOL:
-        raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-    low = linalg.psd_lowest(herm, DEFAULT_TOL)
-    if low is not None:
-        raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
-    return _apply_four_term(rho, _TO_COEFF)
-
-
 def _coefficients(rho: np.ndarray) -> np.ndarray:
     """Read-only coefficient matrices C (..., 4, 4) of density matrices
-    rho (..., 4, 4): the batched core of ``TwoQubitState(rho)``.  Unit
-    trace and positivity within DEFAULT_TOL bound |a|, |b| by 1 + 5e-10
-    and |E_kl| by 1 + 7e-10, inside ``_checked``'s 1e-9, so C is not
-    checked again.
+    rho (..., 4, 4): the one check of every state, the batched core of
+    both constructors.  Unit trace and positivity within DEFAULT_TOL
+    bound |a|, |b| by 1 + 5e-10 and |E_kl| by 1 + 7e-10, so C itself is
+    not checked.
 
     Raises:
         ValueError: if any entry is not finite, or any matrix is not
@@ -112,20 +79,28 @@ def _coefficients(rho: np.ndarray) -> np.ndarray:
             its coefficients are not real; a message with a number gives
             the worst value of the stack.
     """
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix entries must be finite")
     rho_dag = rho.swapaxes(-1, -2).conj()
     # entries near the float maximum make the difference and the trace
     # overflow to inf, which the messages then report; halving before the
     # sum keeps herm finite, and equal to (rho + rho_dag) / 2 above the
     # subnormal range
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         herm_dev = abs(rho - rho_dag).max()
-        if herm_dev > DEFAULT_TOL:
+        # an inf or NaN entry makes its difference inf or NaN, so only a
+        # matrix that fails here needs its finiteness checked
+        if not herm_dev <= DEFAULT_TOL:
+            if not np.isfinite(rho).all():
+                raise ValueError("density matrix entries must be finite")
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
         herm = 0.5 * rho
         herm += 0.5 * rho_dag
-        coeff = _read_off(rho, herm)
+        tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
+        if tr_dev > DEFAULT_TOL:
+            raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
+        low = linalg.psd_lowest(herm, DEFAULT_TOL)
+        if low is not None:
+            raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
+    coeff = _apply_four_term(rho, _TO_COEFF)
     imag = abs(coeff.imag).max()
     if imag > DEFAULT_TOL:
         raise ValueError(f"decomposition coefficients not real: max imag {imag:.3e}")
@@ -135,18 +110,16 @@ def _coefficients(rho: np.ndarray) -> np.ndarray:
     return c
 
 
-def _composed(c: np.ndarray):
-    """Density matrices of coefficient matrices c (..., 4, 4), and the C
-    read back off them: the batched core of ``from_coefficients``.  Once c
-    passes ``_checked``, each rho is Hermitian bit for bit and its C real
-    within rounding, so only the trace and PSD checks can fail."""
-    _checked(c)
-    rho = 0.25 * _apply_four_term(c, _TO_DENSITY)
-    back = _read_off(rho, rho).real.copy()
-    back[..., 0, 0] = 1.0
-    for arr in (rho, back):
-        arr.setflags(write=False)
-    return rho, back
+def _density(c: np.ndarray) -> np.ndarray:
+    """Matrices (1/4) sum C[mu, nu] sigma_mu o sigma_nu of coefficient
+    matrices c (..., 4, 4), Hermitian bit for bit, for ``_coefficients``
+    to check and read C back off.  An entry that is not finite or exceeds
+    1 + 1e-9 in magnitude, as no state's does, raises ValueError: the sums
+    then stay finite."""
+    top = abs(c).max()
+    if not top <= 1.0 + 1e-9:  # a NaN fails the comparison too
+        raise ValueError(f"coefficient entry not finite or above 1 in magnitude: {top:.3e}")
+    return 0.25 * _apply_four_term(c, _TO_DENSITY)
 
 
 class TwoQubitState:
@@ -182,20 +155,21 @@ class TwoQubitState:
     @classmethod
     def from_coefficients(cls, c) -> "TwoQubitState":
         """State (1/4) sum C[mu, nu] sigma_mu o sigma_nu of a coefficient
-        matrix C (copied), whose ``c`` is read back off its ``rho``.
+        matrix C, whose ``c`` is read back off its ``rho``.
 
         Raises:
-            ValueError: if C is not 4x4 and finite, with C[0, 0] = 1 and
-                Bloch vectors and correlations of size at most 1 (within
-                1e-9), or the state's trace or PSD check fails (1e-10).
+            ValueError: if C is not 4x4, or has an entry that is not finite
+                or exceeds 1 + 1e-9 in magnitude, or the state's checks
+                fail as in ``TwoQubitState(rho)``.
         """
-        c = np.array(c, dtype=float)
+        c = np.asarray(c, dtype=float)
         if c.shape != (4, 4):
             raise ValueError(f"coefficient matrix must be 4x4, got {c.shape}")
         s = cls.__new__(cls)
-        rho, c = _composed(c)
+        rho = _density(c)
+        object.__setattr__(s, "c", _coefficients(rho))
+        rho.setflags(write=False)
         object.__setattr__(s, "rho", rho)
-        object.__setattr__(s, "c", c)
         return s
 
     @property

@@ -8,9 +8,13 @@ the two result types that ``parse_trace_csv`` rebuilds.
 - ``choi_from_affine`` and ``affine_to_kraus``: from an affine Bloch map
   (t, T) to its Choi matrix and to Kraus operators;
 - ``rotation_axis_angle``: the Bloch rotation of an axis and an angle;
+- ``checked_coefficients``: the bounds that a state's coefficient
+  matrix C satisfies, checked on C itself;
 - ``parse_trace_csv`` and ``parse_scan_csv``: readers of the CSV files
   that ``evolve`` and ``scan`` write.
 """
+
+import math
 
 import numpy as np
 
@@ -73,6 +77,30 @@ def rotation_axis_angle(axis, angle: float) -> np.ndarray:
     x, y, z = axis
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _top(values):
+    """Max of per-matrix values; one matrix's 0-d value as it is."""
+    return values.max() if values.ndim else values
+
+
+def checked_coefficients(c: np.ndarray) -> np.ndarray:
+    """Validate coefficient matrices (..., 4, 4) and make them read-only.
+
+    A message with a number gives the worst entry of the stack.
+    """
+    if not np.isfinite(c).all():
+        raise ValueError("decomposition entries must be finite")
+    dev = abs(c[..., 0, 0] - 1.0)
+    if _top(dev) > 1e-9:
+        raise ValueError(f"C[0, 0] must be 1 (unit trace), got {float(c[..., 0, 0].flat[dev.argmax()])!r}")
+    sq = c * c
+    if math.sqrt(max(_top(sq[..., 1:, 0].sum(-1)), _top(sq[..., 0, 1:].sum(-1)))) > 1 + 1e-9:
+        raise ValueError("Bloch vector norm exceeds 1")
+    if abs(c[..., 1:, 1:]).max() > 1 + 1e-9:
+        raise ValueError("correlation matrix entry exceeds 1 in magnitude")
+    c.setflags(write=False)
+    return c
 
 
 def parse_trace_csv(text: str) -> EvolutionTrace:

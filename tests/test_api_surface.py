@@ -147,3 +147,20 @@ def test_only_bell_params_check_themselves():
                 and any(isinstance(sub, ast.FunctionDef) and sub.name == "__post_init__"
                         for sub in node.body)}
     assert checking == {"states.BellDiagonalParams"}
+
+
+
+def test_only_coefficients_decides_a_state():
+    # every state, however built, is checked once, by _coefficients: no other
+    # function of states names the positivity check, and no statement outside
+    # a function does
+    tree = ast.parse((pathlib.Path(rsplab.__file__).parent / "states.py").read_text())
+
+    def names_check(node):
+        return any(getattr(sub, "attr", getattr(sub, "id", getattr(sub, "name", None)))
+                   == "psd_lowest" for sub in ast.walk(node))
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert {node.name for node in functions if names_check(node)} == {"_coefficients"}
+    assert not any(names_check(node) for node in tree.body
+                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))

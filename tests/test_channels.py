@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsplab import channels, cli
@@ -26,7 +26,7 @@ from rsplab.channels import (
     phase_flip,
 )
 from rsplab.linalg import CHOI_TOL, ID2, PAULI_BASIS, SIGMA_Z, psd_lowest, su2_axis_angle
-from rsplab.oracles import random_bell_params, random_unitary, sample_unital_local
+from rsplab.oracles import ginibre_state, random_bell_params, random_unitary, sample_unital_local
 from rsplab.states import TwoQubitState, bell_diagonal
 
 from references import CP_TOL, affine_to_kraus, choi_from_affine, rotation_axis_angle
@@ -531,6 +531,67 @@ def test_sample_unital_deterministic_by_seed():
     a2, b2 = sample_unital_local(np.random.default_rng(321))
     assert np.allclose(a1.affine.tmat, a2.affine.tmat)
     assert np.allclose(b1.affine.tmat, b2.affine.tmat)
+
+
+# --- unital channels on the CP tetrahedron's boundary ------------------------
+
+# Corners of the CP tetrahedron of scaling triples lambda; corner k is the
+# unitary channel U_a sigma_k U_b.
+CP_CORNERS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+
+# Entries of T and E are at most 1, and each is rounded a few times to
+# 2^-53 on the way through the Kraus sums, the 3x3 products and the SVD;
+# 1e-14 is some fifty such roundings (the largest error seen is 1.4e-15).
+SV_TOL = 1e-14
+
+
+def _boundary_lambda(cuts, order):
+    """A dyadic lambda on a vertex, an edge or a face of the CP tetrahedron,
+    and whether it is a vertex: corners ``order[:len(cuts) + 1]`` weighted
+    by the gaps between the cuts in [0, 64], multiples of 1/64, so every
+    sum is exact."""
+    parts = np.diff([0, *sorted(cuts), 64]) / 64.0
+    return parts @ CP_CORNERS[list(order[:len(parts)])], parts.max() == 1.0
+
+
+def _unital_transfer(lam, rng):
+    """The 3x3 block T of ``_unital_channels`` for the triple lambda: Kraus
+    weights w_k = s_k / 4 read off lambda as ``oracles`` reads them, and
+    U_a, U_b about random axes by random angles."""
+    l0, l1, l2 = lam
+    w = 0.25 * np.array([1 + l0 + l1 + l2, 1 + l0 - l1 - l2, 1 - l0 + l1 - l2, 1 - l0 - l1 + l2])
+    axes = rng.normal(size=(2, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    return channels._unital_channels(w, axes, rng.uniform(0.0, 2.0 * np.pi, size=2))[1:, 1:]
+
+
+_CUTS = st.lists(st.integers(0, 64), max_size=2)
+
+
+@settings(max_examples=300)
+@given(cuts_a=_CUTS, cuts_b=_CUTS, order_a=st.permutations(range(4)),
+       order_b=st.permutations(range(4)), one_sided=st.booleans(),
+       kind=st.sampled_from(["ginibre", "bell"]), seed=st.integers(0, 2**32 - 1))
+@example(cuts_a=[], cuts_b=[64], order_a=(1, 0, 2, 3), order_b=(3, 2, 1, 0),
+         one_sided=False, kind="ginibre", seed=0)
+def test_unital_pair_contracts_each_singular_value(cuts_a, cuts_b, order_a, order_b,
+                                                   one_sided, kind, seed):
+    # a unital pair maps E to T_A E T_B^T with |T|_2 <= 1, so each singular
+    # value of E can only shrink; at the vertices T is orthogonal and none does
+    rng = np.random.default_rng(seed)
+    lam_a, vertex_a = _boundary_lambda(cuts_a, order_a)
+    lam_b, vertex_b = _boundary_lambda(cuts_b, order_b)
+    t_a = _unital_transfer(lam_a, rng)
+    t_b = np.eye(3) if one_sided else _unital_transfer(lam_b, rng)
+    s = ginibre_state(rng) if kind == "ginibre" else bell_diagonal(random_bell_params(rng))
+    before = np.linalg.svd(s.e, compute_uv=False)
+    after = np.linalg.svd(t_a @ s.e @ t_b.T, compute_uv=False)
+    assert (after <= before + SV_TOL).all()
+    for t, vertex in ((t_a, vertex_a), (t_b, vertex_b or one_sided)):
+        if vertex:
+            assert abs(t @ t.T - np.eye(3)).max() <= SV_TOL
+    if vertex_a and (vertex_b or one_sided):
+        assert abs(after - before).max() <= SV_TOL
 
 
 # --- JSON -------------------------------------------------------------------

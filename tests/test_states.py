@@ -1,8 +1,9 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsplab.channels import _product_action, amplitude_damping
@@ -11,9 +12,8 @@ from rsplab.linalg import DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_axis_
 from rsplab.oracles import ginibre_state, random_bell_params, random_unitary, sample_unital_local
 from rsplab.states import (
     TwoQubitState,
-    _checked,
     _coefficients,
-    _composed,
+    _density,
     bell_diagonal,
     bell_eigenvalues,
     local_unitary,
@@ -21,7 +21,7 @@ from rsplab.states import (
     state_to_json,
 )
 
-from references import rotation_axis_angle
+from references import checked_coefficients, rotation_axis_angle
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -90,6 +90,26 @@ def test_huge_finite_entries_give_one_message(rho, message):
     with pytest.raises(ValueError) as exc:
         TwoQubitState(rho)
     assert str(exc.value) == message
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(0.0, -np.inf),
+              complex(np.inf, np.nan)]
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=str)
+def test_non_finite_entries_give_one_message(x):
+    # a non-finite entry fails the Hermitian test whatever its mirror
+    # entry holds, and only then is finiteness checked and named
+    for i, j in itertools.product(range(4), repeat=2):
+        for mirror in [0.1, 1e308, *NON_FINITE]:
+            rho = np.eye(4, dtype=complex) / 4
+            rho[i, j] = x
+            if i != j:
+                rho[j, i] = mirror
+            stack = np.stack([np.eye(4, dtype=complex) / 4, rho])
+            for matrices in (rho, stack):
+                with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+                    _coefficients(matrices)
 
 
 def test_compose_zero_is_maximally_mixed():
@@ -217,8 +237,9 @@ def test_state_validation():
 def test_decomposition_bounds_enforced():
     c = np.diag([1.0, 0.0, 0.0, 0.0])
     c[1, 0] = 1.5
-    with pytest.raises(ValueError, match="^Bloch vector norm exceeds 1$"):
+    with pytest.raises(ValueError) as exc:
         TwoQubitState.from_coefficients(c)
+    assert str(exc.value) == "coefficient entry not finite or above 1 in magnitude: 1.500e+00"
 
 
 def test_json_bell_and_dense_round_trip():
@@ -267,7 +288,8 @@ def test_coefficients_batch_matches_decompose():
     rhos = _random_rhos(8)
     c = _coefficients(rhos)
     assert c.shape == (8, 4, 4)
-    dens, back = _composed(c.copy())
+    dens = _density(c)
+    back = _coefficients(dens)
     for k in range(8):
         assert np.array_equal(c[k], TwoQubitState(rhos[k]).c)
         s = TwoQubitState.from_coefficients(c[k])
@@ -321,10 +343,11 @@ def _eigenbasis(kind, rng):
        delta=st.floats(0.0, 1e-11),
        trace_dev=st.floats(-DEFAULT_TOL, DEFAULT_TOL))
 def test_dense_coefficients_within_checked_bounds(kind, seed, weights, delta, trace_dev):
-    # _coefficients skips _checked: a rho that passes the trace and PSD
-    # checks, with its lowest eigenvalue -DEFAULT_TOL + delta and the rest
-    # spread by weights, has |a|, |b| <= 1 + 5e-10 and |E_kl| <= 1 + 7e-10,
-    # at least 3e-10 inside _checked's 1e-9
+    # _coefficients checks no bound on C itself: a rho that passes the
+    # trace and PSD checks, with its lowest eigenvalue -DEFAULT_TOL + delta
+    # and the rest spread by weights, has |a|, |b| <= 1 + 5e-10 and
+    # |E_kl| <= 1 + 7e-10, at least 3e-10 inside the 1e-9 of
+    # ``checked_coefficients``
     low = -DEFAULT_TOL + delta
     w = np.array([0.0, *weights])
     lam = low + (1.0 + trace_dev - 4.0 * low) * (w / w.sum())
@@ -338,18 +361,69 @@ def test_dense_coefficients_within_checked_bounds(kind, seed, weights, delta, tr
     assert c[0, 0] == 1.0
     assert max(np.linalg.norm(c[1:, 0]), np.linalg.norm(c[0, 1:])) <= 1.0 + 5e-10 + 1e-12
     assert abs(c[1:, 1:]).max() <= 1.0 + 7e-10 + 1e-12
-    _checked(c)
+
+
+def _refuses(check, c) -> bool:
+    try:
+        check(c)
+    except ValueError:
+        return True
+    return False
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+# a pure product state lies on every bound of ``checked_coefficients``:
+# C[0, 0] = 1 and |a| = |b| = 1, and |E_kl| = 1 with a, b along axes k, l
+@settings(max_examples=400)
+@given(bound=st.sampled_from(["trace", "alice", "bob", "correlation"]),
+       seed=st.integers(0, 2**32 - 1),
+       delta=st.one_of(st.sampled_from([0.0, 1e-10, 5e-10, 1e-9 - 1e-12, 1e-9 + 1e-12]),
+                       st.floats(0.0, 4e-9)),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(bound="trace", seed=0, delta=0.0, sign=1.0)
+@example(bound="correlation", seed=0, delta=2e-9, sign=1.0)
+def test_from_coefficients_refuses_what_the_bounds_refuse(bound, seed, delta, sign):
+    # one bound moved by +-delta: what from_coefficients accepts passes the
+    # bounds, so whatever the bounds refuse still raises ValueError
+    rng = np.random.default_rng(seed)
+    a, b = _unit(rng), _unit(rng)
+    if bound == "correlation":
+        k, l = rng.integers(3, size=2)
+        a, b = rng.choice([-1.0, 1.0]) * np.eye(3)[k], rng.choice([-1.0, 1.0]) * np.eye(3)[l]
+    c = np.outer([1.0, *a], [1.0, *b])
+    step = 1.0 + sign * delta
+    if bound == "trace":
+        c[0, 0] = step
+    elif bound == "alice":
+        c[1:, 0] *= step
+    elif bound == "bob":
+        c[0, 1:] *= step
+    else:
+        c[1 + k, 1 + l] *= step
+    refused = _refuses(checked_coefficients, c.copy())
+    accepted = not _refuses(TwoQubitState.from_coefficients, c)
+    assert not (accepted and refused)
+    if delta == 0.0:
+        assert accepted
+    if delta > 1e-9 + 1e-12 and sign > 0.0:
+        assert refused
 
 
 def test_checked_batch_reports_scalar_message():
-    c = np.stack([bell_diagonal(0.5, 0.0, -0.5).c] * 8)
-    c[6, 0, 0] = 1.5
-    with pytest.raises(ValueError) as scalar:
-        TwoQubitState.from_coefficients(c[6])
-    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-        _composed(c.copy())
-    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-        _checked(c)
+    # a C spoiled in a stack fails the batched route with the scalar
+    # message, whichever check refuses it: the entry guard, the trace or
+    # positivity
+    for entry, value in (((0, 0), 1.5), ((0, 0), 1.0 + 5e-10), ((1, 1), 1.0)):
+        c = np.stack([bell_diagonal(0.5, 0.0, -0.5).c] * 8)
+        c[6][entry] = value
+        with pytest.raises(ValueError) as scalar:
+            TwoQubitState.from_coefficients(c[6])
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            _coefficients(_density(c))
 
 
 # --- from_coefficients --------------------------------------------------------
@@ -361,22 +435,28 @@ def _coefficients_with(entries, c00=1.0):
     return c
 
 
+GUARD = "coefficient entry not finite or above 1 in magnitude: "
+
+
 # Every way a coefficient matrix fails, with its exact message.
 @pytest.mark.parametrize("c,message", [
     (np.zeros((3, 3)), "coefficient matrix must be 4x4, got (3, 3)"),
     (np.zeros(4), "coefficient matrix must be 4x4, got (4,)"),
-    (np.diag([1.0, np.nan, 0.0, 0.0]), "decomposition entries must be finite"),
-    (np.diag([1.0, 0.0, np.inf, 0.0]), "decomposition entries must be finite"),
-    (_coefficients_with({}, c00=1.5), "C[0, 0] must be 1 (unit trace), got 1.5"),
-    (_coefficients_with({(1, 0): 1.5}), "Bloch vector norm exceeds 1"),
-    (_coefficients_with({(0, 2): -1.2}), "Bloch vector norm exceeds 1"),
-    (_coefficients_with({(1, 2): -1.5}), "correlation matrix entry exceeds 1 in magnitude"),
-    # within _checked's 1e-9 of unit trace, beyond the state's 1e-10
+    (np.diag([1.0, np.nan, 0.0, 0.0]), f"{GUARD}nan"),
+    (np.diag([1.0, 0.0, np.inf, 0.0]), f"{GUARD}inf"),
+    (_coefficients_with({}, c00=1.5), f"{GUARD}1.500e+00"),
+    (_coefficients_with({(1, 0): 1.5}), f"{GUARD}1.500e+00"),
+    (_coefficients_with({(0, 2): -1.2}), f"{GUARD}1.200e+00"),
+    (_coefficients_with({(1, 2): -1.5}), f"{GUARD}1.500e+00"),
+    # each entry within the guard, the Bloch vector's norm 1.1 beyond 1
+    (_coefficients_with({(1, 0): 0.66, (2, 0): 0.88}),
+     "not positive semidefinite: lowest eigenvalue -2.500e-02"),
+    # within the guard's 1e-9 of unit trace, beyond the state's 1e-10
     (_coefficients_with({}, c00=1.0 + 5e-10), "trace differs from 1 by 5.000e-10"),
     (np.diag([1.0, 1.0, 1.0, 1.0]), "not positive semidefinite: lowest eigenvalue -5.000e-01"),
     (np.diag([1.0, 0.5, 0.5, 0.5]), "not positive semidefinite: lowest eigenvalue -1.250e-01"),
 ], ids=["3x3", "vector", "nan", "inf", "trace_entry", "alice", "bob", "correlation",
-        "trace", "not_psd", "outside_tetrahedron"])
+        "bloch_norm", "trace", "not_psd", "outside_tetrahedron"])
 def test_from_coefficients_rejects(c, message):
     with pytest.raises(ValueError) as exc:
         TwoQubitState.from_coefficients(c)
