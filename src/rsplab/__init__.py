@@ -4,7 +4,7 @@ qubit channels for two-qubit states.
 The package computes the payoff of the canonical remote-state-preparation
 protocol and the Hilbert-Schmidt geometric discord from a state's Pauli
 decomposition, models single-qubit channels as Pauli transfer matrices
-(built from Kraus operators, checked through the Choi matrix),
+(built from Kraus operators, read off their Choi matrix),
 and analyzes when symmetric local amplitude damping raises the fidelity of
 a Bell-diagonal state that starts at zero.
 """

@@ -6,8 +6,9 @@ matrix M[mu, nu] = tr(sigma_mu Phi(sigma_nu)) / 2, the real 4x4 matrix
 1 (+) (t, T): M[0] = (1, 0, 0, 0), M[1:, 0] = t and M[1:, 1:] = T.  A
 product channel acts on a state's coefficient matrix C (see ``states``)
 as C -> M_A C M_B^T, which is how ``apply_local`` applies it.
-Channels are built from Kraus operators: ``QubitChannel.from_kraus``
-reads M off their Choi matrix, which it checks for complete positivity.
+Channels are built from Kraus operators, so they are completely
+positive by construction: ``QubitChannel.from_kraus`` checks that the set
+is finite and trace preserving and reads M off its Choi matrix.
 ``factorize`` splits T by singular value decomposition into rotations
 and a scaling, the form ``decompose --channel`` reports.
 The Kraus-to-M core and the builder of unital channels from weights and
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import CHOI_TOL, DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import DEFAULT_TOL, ID2, PAULI_BASIS, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import TwoQubitState
 
 
@@ -80,10 +81,8 @@ class QubitChannel:
         Raises:
             ValueError: if the set is empty, an operator is not 2x2 or
                 has a non-finite entry or one that overflows the Choi
-                matrix, the set is not trace preserving
-                within 1e-10, the transfer matrix carries imaginary
-                parts above 1e-10, or the Choi matrix is not Hermitian
-                within 1e-9, has trace other than 2 or is not PSD.
+                matrix, or the set is not trace preserving within 1e-10
+                or its Choi matrix has trace other than 2 within 1e-10.
         """
         ops = [np.asarray(k, dtype=complex) for k in ops]
         if not ops:
@@ -106,17 +105,17 @@ _CHOI_TO_PTM.setflags(write=False)
 
 
 def _kraus_ptm(kraus: np.ndarray):
-    """Checked transfer matrices (..., 4, 4) of trace-preserving Kraus
-    sets (..., k, 2, 2): the batched core of ``from_kraus``.
+    """Transfer matrices (..., 4, 4) of trace-preserving Kraus sets
+    (..., k, 2, 2): the batched core of ``from_kraus``.
 
     Both the trace-preservation sum and the transfer matrix are read off
-    the Choi matrix, which is computed once.  In exact arithmetic a finite
-    Kraus set always passes two of the checks: tr(sigma_mu K sigma_nu K^dag)
-    is real, and the Choi matrix sum v v^dag is Hermitian and PSD.  These
-    checks stay, positivity by ``linalg.psd_lowest`` as for states: they
-    check this code's own Choi and transfer-matrix maps and their
-    rounding, which a wrong constant or index order would break without
-    any other check failing.
+    the Choi matrix, which is computed once.  Only what an input can fail
+    is checked: finite entries, trace preservation and the Choi trace.
+    A map given by Kraus operators is completely positive by definition:
+    its Choi matrix sum v v^dag is Hermitian and PSD and its transfer
+    matrix tr(sigma_mu K sigma_nu K^dag) / 2 is real, so neither is
+    tested.  ``test_kraus_ptm_matches_trace_loop`` checks the read-out
+    against the trace formula, and property tests bound the rounding.
 
     Raises:
         ValueError: as ``QubitChannel.from_kraus``; a message with a
@@ -126,17 +125,11 @@ def _kraus_ptm(kraus: np.ndarray):
         raise ValueError("Kraus operator entries must be finite")
     choi = choi_from_kraus(kraus)
     # Kraus entries past the square root of the float maximum overflow the
-    # Choi matrix, and inf - inf in the Hermitian test is a NaN that passes
-    # every check; entries just below it overflow only the partial trace,
-    # which then reads inf and fails
+    # Choi matrix, where an inf - inf can make a NaN that passes every check
+    # below; entries just below it overflow only the partial trace, which
+    # then reads inf and fails
     if not np.isfinite(choi).all():
         raise ValueError("Choi matrix entries must be finite: Kraus operator entries too large")
-    choi_dag = choi.swapaxes(-1, -2).conj()
-    dev = abs(choi - choi_dag).max()
-    if dev > CHOI_TOL:
-        raise ValueError(f"Choi matrix not Hermitian: max |H - H^dag| = {dev:.3e} > {CHOI_TOL:.3e}")
-    herm = 0.5 * choi
-    herm += 0.5 * choi_dag
     # the partial trace over the output, sum_a choi[(i, a), (j, a)], is the
     # transpose of sum K^dag K; transposing leaves |. - I| as it is
     blocks = choi.reshape(choi.shape[:-2] + (2, 2, 2, 2))
@@ -144,14 +137,9 @@ def _kraus_ptm(kraus: np.ndarray):
         dev = np.abs(blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1] - ID2).max()
     if dev > DEFAULT_TOL:
         raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
-    m = (choi.reshape(choi.shape[:-2] + (16,)) @ _CHOI_TO_PTM).reshape(choi.shape)
-    imag = np.abs(m.imag).max()
-    if imag > DEFAULT_TOL:
-        raise ValueError(f"transfer matrix not real: max imag {imag:.3e}")
     if abs(choi.trace(axis1=-2, axis2=-1).real - 2.0).max() > DEFAULT_TOL:
         raise ValueError("Choi trace differs from 2")
-    if linalg.psd_lowest(herm, CHOI_TOL) is not None:
-        raise ValueError("Choi matrix not PSD: map is not completely positive")
+    m = (choi.reshape(choi.shape[:-2] + (16,)) @ _CHOI_TO_PTM).reshape(choi.shape)
     # a trace-preserving set has first row (1, 0, 0, 0); store it exactly
     ptm = m.real.copy()
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
@@ -352,20 +340,20 @@ def _unital_channels(w, axes, angles):
     operators sqrt(w_k) U_a sigma_k U_b, batched over leading axes of w
     (..., 4) and of the unit axes (..., 2, 3) and angles (..., 2) of U_a, U_b.
 
-    Raises:
-        RuntimeError: if a channel's translation exceeds 1e-12.
+    The caller supplies weights w_k >= 0 summing to 1 and unit axes.  With
+    K_k = U_a sigma_k U_b unitary, sum_k w_k K_k K_k^dag = I then makes the
+    channel unital, with t = 0 up to rounding.
     """
     u = linalg.su2_axis_angle(axes, angles)
     kraus = np.sqrt(w)[..., None, None] * _pauli_sandwiches(u[..., 0, :, :], u[..., 1, :, :])
-    ptm = _kraus_ptm(kraus)
-    t = ptm[..., 1:, 0]
-    if (np.sqrt((t * t).sum(-1)) > 1e-12).any():  # |t| as np.linalg.norm rounds it
-        raise RuntimeError("sampled channel failed unitality")
-    return ptm
+    return _kraus_ptm(kraus)
 
 
 # ---------------------------------------------------------------------------
 # JSON schema
+
+_ZERO_PART = [[0, 0], [0, 0]]  # a Kraus op's 'im' when its JSON leaves it out
+
 
 def channel_from_json(obj) -> QubitChannel:
     """Build a channel from its JSON object form.
@@ -396,11 +384,9 @@ def channel_from_json(obj) -> QubitChannel:
             if not isinstance(entry, dict):
                 raise ValueError("each Kraus op must be an object with 're' "
                                  "and optional 'im' parts")
-            re = linalg.real_array(entry.get("re"), (2, 2), "Kraus op part 're'")
-            im_raw = entry.get("im")
-            im = (np.zeros((2, 2)) if im_raw is None
-                  else linalg.real_array(im_raw, (2, 2), "Kraus op part 'im'"))
-            ops.append(re + 1.0j * im)
+            im = entry.get("im")  # optional: left out or null, it is zero
+            ops.append(linalg.complex_array(entry.get("re"), _ZERO_PART if im is None else im,
+                                            (2, 2), "Kraus op part"))
         return QubitChannel.from_kraus(ops)
     raise ValueError(f"unknown channel type {kind!r}")
 

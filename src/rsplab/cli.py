@@ -162,18 +162,15 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-
-    def n(default):
-        return default if trials is None else trials
-
+    # each suite's own default trial count, unless --trials is given
+    kw = {"seed": seed} if trials is None else {"seed": seed, "n_trials": trials}
     reports = []
     if suite in ("protocol", "all"):
-        reports.append(("protocol", oracles.protocol_suite(n(50), seed=seed)))
+        reports.append(("protocol", oracles.protocol_suite(**kw)))
     if suite in ("gmqd", "all"):
-        reports.append(("gmqd", oracles.gmqd_suite(n(20), seed=seed)))
+        reports.append(("gmqd", oracles.gmqd_suite(**kw)))
     if suite in ("monotonicity", "all"):
-        reports.append(("monotonicity",
-                        oracles.unital_monotonicity_suite(n(10000), seed=seed)))
+        reports.append(("monotonicity", oracles.unital_monotonicity_suite(**kw)))
     if suite in ("witness", "all"):
         reports.append(("witness", oracles.nonunital_increase_witness()))
         reports.append(("discord_raising", oracles.discord_raising_check()))

@@ -97,7 +97,7 @@ def _coefficients(rho: np.ndarray) -> np.ndarray:
         tr_dev = _top(abs(rho.trace(axis1=-2, axis2=-1) - 1.0))
         if tr_dev > DEFAULT_TOL:
             raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-        low = linalg.psd_lowest(herm, DEFAULT_TOL)
+        low = linalg.psd_lowest(herm)
         if low is not None:
             raise ValueError(f"not positive semidefinite: lowest eigenvalue {low:.3e}")
     coeff = _apply_four_term(rho, _TO_COEFF)
@@ -288,9 +288,7 @@ def state_from_json(obj: dict) -> TwoQubitState:
     if kind == "dense":
         if "re" not in obj or "im" not in obj:
             raise ValueError("dense state needs fields 're' and 'im'")
-        re = linalg.real_array(obj["re"], (4, 4), "dense state part 're'")
-        im = linalg.real_array(obj["im"], (4, 4), "dense state part 'im'")
-        return TwoQubitState(re + 1.0j * im)
+        return TwoQubitState(linalg.complex_array(obj["re"], obj["im"], (4, 4), "dense state part"))
     raise ValueError(f"unknown state type {kind!r}")
 
 

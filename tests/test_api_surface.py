@@ -149,18 +149,27 @@ def test_only_bell_params_check_themselves():
     assert checking == {"states.BellDiagonalParams"}
 
 
+def _names(node):
+    """Every name that node and its children read or import: names,
+    attributes and imported names, not the names of definitions."""
+    return {sub.name if isinstance(sub, ast.alias) else getattr(sub, "attr", getattr(sub, "id", None))
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))}
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "psd_lowest"}
+
 
 def test_only_coefficients_decides_a_state():
-    # every state, however built, is checked once, by _coefficients: no other
-    # function of states names the positivity check, and no statement outside
-    # a function does
-    tree = ast.parse((pathlib.Path(rsplab.__file__).parent / "states.py").read_text())
-
-    def names_check(node):
-        return any(getattr(sub, "attr", getattr(sub, "id", getattr(sub, "name", None)))
-                   == "psd_lowest" for sub in ast.walk(node))
-
-    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    assert {node.name for node in functions if names_check(node)} == {"_coefficients"}
-    assert not any(names_check(node) for node in tree.body
-                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    # the package's one positivity check is the state's: across states,
+    # channels and linalg, only states._coefficients names psd_lowest, no
+    # statement outside a function does, and channels, whose Kraus sets are
+    # CP by construction, names no eigensolver at all
+    trees, _ = _package_trees()
+    callers = {f"{stem}.{node.name}" for stem in ("states", "channels", "linalg")
+               for node in ast.walk(trees[stem])
+               if isinstance(node, ast.FunctionDef) and "psd_lowest" in _names(node)}
+    assert callers == {"states._coefficients"}
+    for stem in ("states", "channels", "linalg"):
+        assert not any("psd_lowest" in _names(node) for node in trees[stem].body
+                       if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    assert not _names(trees["channels"]) & EIGENSOLVERS

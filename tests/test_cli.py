@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rsplab
-from rsplab import channels, cli, enhancement, measures
+from rsplab import channels, cli, enhancement, measures, seeding
 from rsplab.cli import build_parser, main
 from rsplab.enhancement import is_enhancible, p_opt
 from rsplab.states import bell_diagonal, state_to_json
@@ -309,6 +309,13 @@ def test_json_builtin_channels_match_inline(tmp_path, spec):
      "Choi matrix entries must be finite: Kraus operator entries too large"),
     ("--channel", {"type": "kraus", "ops": [{"re": [[1.2e154, 0.0], [1.2e154, 0.0]]}]},
      "not trace preserving: max |sum K^dag K - I| = inf"),
+    # a non-finite imaginary part, set as it is and not multiplied by 1j
+    *(("--state", {"type": "dense", "re": (np.eye(4) / 4).tolist(),
+                   "im": np.diag([0.0, x, 0.0, 0.0]).tolist()},
+       "density matrix entries must be finite") for x in (math.inf, -math.inf, math.nan)),
+    *(("--channel", {"type": "kraus", "ops": [{"re": [[1.0, 0.0], [0.0, 1.0]],
+                                               "im": [[0.0, x], [0.0, 0.0]]}]},
+       "Kraus operator entries must be finite") for x in (math.inf, -math.inf, math.nan)),
 ])
 def test_nonfinite_json_input_is_named(tmp_path, capsys, flag, obj, message):
     # NaN passes every tolerance test, so it must be named before any
@@ -716,15 +723,10 @@ def _shifted_round_trip(monkeypatch):
     monkeypatch.setattr(channels.ChannelFactorization, "as_affine", shifted)
 
 
-def _nonunital_sample(monkeypatch):
-    """Transfer matrices whose translation is 1e-6 off zero."""
-    kraus_ptm = channels._kraus_ptm
-
-    def shifted(kraus):
-        ptm = kraus_ptm(kraus)
-        ptm[..., 1, 0] += 1e-6
-        return ptm
-    monkeypatch.setattr(channels, "_kraus_ptm", shifted)
+def _wrong_seeding(monkeypatch):
+    """A PCG64 multiplier off by one bit, so the first trial's computed
+    state is not numpy's."""
+    monkeypatch.setattr(seeding, "_PCG64_MULT", seeding._PCG64_MULT ^ 2)
 
 
 def _low_f_opt(monkeypatch):
@@ -745,8 +747,8 @@ def _low_f_opt(monkeypatch):
      _low_dg(1e-6), "ordering violated"),
     (["decompose", "--channel", "discord_raising"], _shifted_round_trip,
      "factorization round-trip error"),
-    (["verify", "--suite", "monotonicity", "--trials", "3"], _nonunital_sample,
-     "sampled channel failed unitality"),
+    (["verify", "--suite", "monotonicity", "--trials", "3"], _wrong_seeding,
+     "seeding differs from default_rng([seed, 0])"),
     (["verify", "--suite", "witness"], _low_f_opt, "p_opt is not a local maximum"),
 ], ids=["measure", "measure-5e-10", "apply", "decompose-channel", "verify", "verify-witness"])
 def test_internal_check_failure_exits_1(capsys, monkeypatch, argv, force, message):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsplab import channels
 from rsplab.channels import channel_from_json
 from rsplab.linalg import (
-    CHOI_TOL,
     DEFAULT_TOL,
-    ID2,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    complex_array,
     is_unitary,
     probability,
     psd_lowest,
@@ -34,9 +33,8 @@ def random_rotation(rng):
 
 
 def test_psd_lowest_accepts_density_like():
-    for tol in (DEFAULT_TOL, CHOI_TOL):
-        assert psd_lowest(np.eye(4, dtype=complex) / 4, tol) is None
-        assert psd_lowest(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), tol) is None
+    assert psd_lowest(np.eye(4, dtype=complex) / 4) is None
+    assert psd_lowest(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)) is None
 
 
 def test_psd_lowest_rejects_outside_tetrahedron():
@@ -45,9 +43,8 @@ def test_psd_lowest_rejects_outside_tetrahedron():
     rho = 0.25 * (np.eye(4) + np.kron(SIGMA_X, SIGMA_X)
                   + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z))
     stack = np.stack([np.eye(4) / 4, rho, np.diag([0.5, 0.5, 0.0, 0.0])]).astype(complex)
-    for tol in (DEFAULT_TOL, CHOI_TOL):
-        assert psd_lowest(rho, tol) == pytest.approx(-0.5, abs=1e-15)
-        assert psd_lowest(stack, tol) == np.linalg.eigvalsh(rho)[0]
+    assert psd_lowest(rho) == pytest.approx(-0.5, abs=1e-15)
+    assert psd_lowest(stack) == np.linalg.eigvalsh(rho)[0]
 
 
 def test_probability_bounds():
@@ -97,29 +94,35 @@ def test_json_fields_take_only_numbers(load, obj, message):
     assert str(exc.value) == message
 
 
+def test_complex_array_sets_each_part():
+    # each part as given, an infinite one too: no 0 * inf forms a NaN
+    re_part = [[1.0, -0.0], [0.5, 2.0]]
+    im_part = [[0.0, math.inf], [-math.inf, -0.0]]
+    z = complex_array(re_part, im_part, (2, 2), "op")
+    assert np.array_equal(np.signbit(z.real), np.signbit(re_part))
+    assert np.array_equal(np.signbit(z.imag), np.signbit(im_part))
+    assert np.array_equal(z.real, re_part) and np.array_equal(z.imag, im_part)
+    with pytest.raises(ValueError, match=re.escape("op 're' must be numbers of shape (2, 2)")):
+        complex_array([[1, 0]], None, (2, 2), "op")
+    with pytest.raises(ValueError, match=re.escape("op 'im' must be numbers of shape (2, 2), got None")):
+        complex_array(re_part, None, (2, 2), "op")
+
+
 def test_psd_lowest_tolerance_edge():
-    # -1e-10 passes at CHOI_TOL = 1e-9 and at DEFAULT_TOL = 1e-10, -1e-8 at neither
-    for tol in (DEFAULT_TOL, CHOI_TOL):
-        assert psd_lowest(np.diag([1.0, -1e-10]).astype(complex), tol) is None
-        assert psd_lowest(np.diag([1.0, -1e-8]).astype(complex), tol) == -1e-8
-    assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), CHOI_TOL) is None
-    assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex), DEFAULT_TOL) == -5e-10
+    # -1e-10 passes at DEFAULT_TOL = 1e-10; -5e-10 and -1e-8 do not
+    assert psd_lowest(np.diag([1.0, -1e-10]).astype(complex)) is None
+    assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex)) == -5e-10
+    assert psd_lowest(np.diag([1.0, -1e-8]).astype(complex)) == -1e-8
 
 
-def test_psd_check_rejects_non_hermitian(monkeypatch):
-    # psd_lowest reads only the lower triangle, so both positivity checks
-    # test Hermiticity first: a stray upper entry would pass it unseen
+def test_psd_check_rejects_non_hermitian():
+    # psd_lowest reads only the lower triangle, so the state check tests
+    # Hermiticity first: a stray upper entry would pass it unseen
     h = np.eye(4, dtype=complex) / 4
     h[0, 1] = 1.0
-    assert psd_lowest(h, DEFAULT_TOL) is None
+    assert psd_lowest(h) is None
     with pytest.raises(ValueError, match=re.escape("not Hermitian: max |rho - rho^dag| = 1.000e+00")):
         TwoQubitState(h)
-    message = "matrix not Hermitian: max |H - H^dag| = 1.000e+00 > 1.000e-09"
-    choi = np.eye(4, dtype=complex) / 2
-    choi[0, 1] = 1.0
-    monkeypatch.setattr(channels, "choi_from_kraus", lambda k: choi)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        channels._kraus_ptm(ID2[None])
 
 
 def _random_unitaries(rng, count, n):
@@ -129,19 +132,19 @@ def _random_unitaries(rng, count, n):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4]), count=st.integers(1, 40),
-       tol=st.sampled_from([DEFAULT_TOL, CHOI_TOL]), sign=st.sampled_from([-1.0, 1.0]),
-       exponent=st.floats(-13.0, 0.0))
-def test_psd_lowest_decides_at_the_boundary(seed, n, count, tol, sign, exponent):
-    # a Hermitian stack whose lowest eigenvalue is -tol + delta, |delta| >= 1e-13,
-    # passes exactly when delta > 0, and a rejection reports that eigenvalue
+       sign=st.sampled_from([-1.0, 1.0]), exponent=st.floats(-13.0, 0.0))
+def test_psd_lowest_decides_at_the_boundary(seed, n, count, sign, exponent):
+    # a Hermitian stack whose lowest eigenvalue is -DEFAULT_TOL + delta,
+    # |delta| >= 1e-13, passes exactly when delta > 0, and a rejection
+    # reports that eigenvalue
     rng = np.random.default_rng(seed)
-    lowest = -tol + sign * 10.0 ** exponent
+    lowest = -DEFAULT_TOL + sign * 10.0 ** exponent
     spectra = lowest + rng.uniform(0.0, 1.0, size=(count, n))
     spectra[rng.integers(count), rng.integers(n)] = lowest
     q = _random_unitaries(rng, count, n)
     h = (q * spectra[:, None, :]) @ q.conj().swapaxes(-1, -2)
     h = 0.5 * (h + h.conj().swapaxes(-1, -2))
-    got = psd_lowest(h, tol)
+    got = psd_lowest(h)
     if sign > 0.0:
         assert got is None
     else:
@@ -216,15 +219,6 @@ def test_su2_batch_matches_scalar():
     assert batch.shape == (8, 2, 2)
     for k in range(8):
         assert np.array_equal(batch[k], su2_axis_angle(axes[k], angles[k]))
-
-
-def test_su2_batch_reports_scalar_message():
-    axes = _unit_axes(8)
-    axes[5] *= 1.5
-    with pytest.raises(ValueError) as scalar:
-        su2_axis_angle(axes[5], 0.3)
-    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
-        su2_axis_angle(axes, np.full(8, 0.3))
 
 
 def test_pauli_constants_are_read_only():

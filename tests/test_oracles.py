@@ -240,6 +240,17 @@ def test_unital_draws_match_uniform_and_normal_calls(seed, monkeypatch):
         assert np.array_equal(ch.ptm, m)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suite_unital_channels_have_no_translation(seed):
+    # Kraus weights summing to 1 on U_a sigma_k U_b fix I/2, so t = 0 up to
+    # rounding: the property that no runtime check tests any more, over the
+    # channel draws of a chunk of suite trials
+    draws = np.array([oracles._unital_draws(rng) for rng in seeding.trial_rngs(seed, 0, SUITE_CHUNK)])
+    ptm = oracles._unital_ptms(draws[:, 32:].reshape(-1, 2, oracles.UNITAL_DRAW))
+    assert ptm.shape == (SUITE_CHUNK, 2, 4, 4)
+    assert np.linalg.norm(ptm[..., 1:, 0], axis=-1).max() <= 1e-15
+
+
 # seeds of 1 to 5 and of 16 uint32 words, a numpy integer among them
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 2**128 + 7, 2**511 + 2**32 - 1,
          np.uint64(2**63 + 9)]
