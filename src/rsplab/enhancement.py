@@ -21,6 +21,7 @@ quartic E33^2 + p^2 = c^2 q^2.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -32,8 +33,8 @@ from .states import BELL_TOL, TwoQubitState, as_bell_params
 from .text import _write_rows
 
 # Size limits, checked before anything is allocated: a scan holds
-# resolution^3 lattice floats, a trace steps rows and a profile a few
-# arrays of points floats.
+# resolution^3 lattice floats, a trace steps rows, and a profile and a
+# sweep a few arrays of points floats.
 MAX_RESOLUTION = 201
 MAX_STEPS = 10**6
 MAX_POINTS = 10**5
@@ -206,7 +207,14 @@ def p_opt(c) -> float:
 
 
 def sweep_best_p(c, n: int = 10000):
-    """Brute-force check: (p, f) maximizing f over an interior p grid."""
+    """Brute-force check: (p, f) maximizing f over the n - 2 interior
+    points of an n-point grid of [0, 1].
+
+    Raises:
+        ValueError: unless n is an integer in [3, MAX_POINTS].
+    """
+    if not (isinstance(n, numbers.Integral) and 3 <= n <= MAX_POINTS):
+        raise ValueError(f"points must be an integer in [3, {MAX_POINTS}], got {n!r}")
     grid = np.linspace(0.0, 1.0, int(n))[1:-1]
     vals = _damped(*as_bell_params(c).as_tuple(), grid, 1.0 - grid)[0]
     k = int(np.argmax(vals))

@@ -4,6 +4,13 @@ Everything here operates on fixed tiny sizes: complex 2x2 and 4x4
 matrices (qubit operators, two-qubit operators, Kraus maps), real 3x3
 Bloch-space rotations and real 4x4 correlation and Pauli transfer
 matrices.  All functions are pure and hold no global state.
+
+Positivity is decided by ``psd_lowest`` in two steps.  One Cholesky
+factorization of the whole stack, each matrix shifted by DEFAULT_TOL * I,
+certifies every matrix at once: it succeeds only if each shifted matrix is
+positive definite up to rounding of order n eps |A|, so no eigensolve is
+needed.  Only a failed factorization runs the eigensolve of the stack,
+which alone decides every rejection and the eigenvalue it reports.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ PAULI_BASIS = np.stack([ID2, *PAULIS])
 # is (cos(a/2), sin(a/2) n) times these, each entry a single term
 _SU2_BASIS = np.concatenate([ID2[None], -1.0j * PAULI_BASIS[1:]]).reshape(4, 4)
 
-for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS, _SU2_BASIS):
+# DEFAULT_TOL * I by size, the shift of psd_lowest's certificate
+_SHIFTS = {n: DEFAULT_TOL * np.eye(n) for n in (2, 4)}
+
+for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI_BASIS, _SU2_BASIS, *_SHIFTS.values()):
     _m.setflags(write=False)
 
 
@@ -84,11 +94,24 @@ def probability(p, what: str = "probability") -> float:
 
 
 def psd_lowest(herm: np.ndarray):
-    """None if every Hermitian matrix in ``herm`` (..., n, n) has all
-    eigenvalues >= -DEFAULT_TOL, else the lowest eigenvalue of the stack.
+    """None if every Hermitian matrix in ``herm`` (..., n, n), n = 2 or 4,
+    has all eigenvalues >= -DEFAULT_TOL, else the lowest eigenvalue of the
+    stack.  The entries must be finite, as ``states._coefficients``
+    ensures before it calls.
 
-    The eigensolve reads only the lower triangle.
+    First the certificate: one Cholesky factorization of the stack
+    shifted by DEFAULT_TOL * I, cheaper than its eigenvalues.  It
+    succeeds only if each matrix's lowest eigenvalue is >= -DEFAULT_TOL
+    up to rounding of order n eps |A|, far inside DEFAULT_TOL for a
+    density matrix; the stack is then accepted.  Otherwise the eigensolve
+    of the stack decides, as if no factorization had run.  Both read only
+    the lower triangle.
     """
+    try:
+        np.linalg.cholesky(herm + _SHIFTS[herm.shape[-1]])
+        return None
+    except np.linalg.LinAlgError:
+        pass
     low = np.linalg.eigvalsh(herm)[..., 0]
     # one matrix's 0-d value as it is, off numpy's slow scalar min (about 3 us)
     if low.ndim:

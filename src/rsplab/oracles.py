@@ -11,9 +11,14 @@ tolerances without sharing any code with them.
 Every random input of the package is drawn here, under "Random
 inputs".  Each suite takes trial i's generator, in the state of
 ``default_rng([seed, i])``, from ``seeding.trial_rngs``, so its report
-depends only on its arguments.  The unital suite draws each trial's
-inputs in turn and then evaluates its trials as stacked arrays, a
-fixed-size chunk at a time.
+depends only on its arguments.  One routine, ``_draws``, draws the
+Ginibre states, the unital channels and the rotations: one pass over a
+chunk's generators fills one buffer, the normals by
+``standard_normal(out=)`` straight into their rows and every other float
+into one flat list, with reused scratch vectors instead of a fresh array
+per generator call.  Every float is the one that ``normal`` and
+``uniform`` calls would give.  The unital suite then evaluates its
+trials as stacked arrays, a fixed-size chunk at a time.
 """
 
 from __future__ import annotations
@@ -268,10 +273,81 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
     return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
+# Floats each kind of draw yields: a Ginibre matrix's standard normals (the
+# real parts of G, row by row, then its imaginary parts); a unital
+# channel's Kraus weights w (4), then the unit axis (3) and angle of U_a
+# and of U_b; a rotation's unit axis (3) and angle.
+GINIBRE_DRAW = 32
+UNITAL_DRAW = 12
+ROTATION_DRAW = 4
+
+
+def _draws(rngs, count: int, normals: int = 0, unital: int = 0, rotations: int = 0) -> np.ndarray:
+    """Random inputs (count, normals + unital * UNITAL_DRAW + rotations *
+    ROTATION_DRAW), row i drawn in order from the i-th generator of
+    ``rngs``: ``normals`` standard normals, then ``unital`` random unital
+    channels sqrt(w_k) U_a sigma_k U_b, then ``rotations`` rotations.
+
+    A channel's scaling triple lambda is uniform on the CP tetrahedron with
+    corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
+    the cube: each coordinate is -1 + 2r, bit for bit what
+    ``rng.uniform(-1, 1)`` returns.  Its Kraus weights are w_k = s_k / 4
+    with s_k = 1 +- l0 +- l1 +- l2; each s_k is a multiple of 2^-52, so
+    scaling it by 1/4 is exact and keeps its sign.  Then come the
+    rotations U_a and U_b.  A rotation's axis v / |v| is uniform on the
+    sphere, v a normal draw redrawn while |v| <= 1e-12, and its angle
+    2 pi r uniform on [0, 2pi): ``rng.random()`` takes the generator step
+    that ``rng.uniform(0, 2pi)`` takes and gives the same angle.
+
+    One pass fills one buffer.  The normals go straight into their row,
+    every other float into one flat list that ``np.fromiter`` reads, and
+    each draw of three reuses a scratch vector: ``random(out=)`` gives
+    the floats of ``random(3)``.  ``standard_normal`` keeps the sign of
+    an exact -0.0 that ``normal(0, 1)``, computing 0 + 1 z, turns into
+    +0.0, and an axis coordinate divided by |v| keeps it too.  No other
+    float here is -0.0, so adding 0.0 to the buffer gives the floats of
+    ``normal`` throughout.
+    """
+    out = np.empty((count, normals + unital * UNITAL_DRAW + rotations * ROTATION_DRAW))
+    flat = []
+    r3, v3 = np.empty(3), np.empty(3)
+
+    def rotation(rng):
+        while True:
+            rng.standard_normal(out=v3)
+            n = math.sqrt(v3.dot(v3))  # rounds as np.linalg.norm(v), without its overhead
+            if n > 1e-12:
+                x, y, z = v3.tolist()
+                flat.extend((x / n, y / n, z / n, 2.0 * math.pi * rng.random()))
+                return
+
+    for row, rng in zip(out, rngs):
+        if normals:
+            rng.standard_normal(out=row[:normals])
+        for _ in range(unital):
+            while True:
+                rng.random(out=r3)
+                r0, r1, r2 = r3.tolist()
+                l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
+                s0, s1 = 1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2
+                s2, s3 = 1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2
+                if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0:
+                    break
+            flat.extend((0.25 * s0, 0.25 * s1, 0.25 * s2, 0.25 * s3))
+            rotation(rng)
+            rotation(rng)
+        for _ in range(rotations):
+            rotation(rng)
+    out[:, normals:] = np.fromiter(flat, float, len(flat)).reshape(count, -1)
+    out += 0.0
+    return out
+
+
 def ginibre_state(rng: np.random.Generator) -> TwoQubitState:
     """Random density matrix G G^dag / tr, G standard complex normal with
     its real parts drawn first."""
-    return TwoQubitState(_normalized_gram(_ginibre_from_normals(rng.normal(size=32))))
+    g = _ginibre_from_normals(_draws([rng], 1, normals=GINIBRE_DRAW)[0])
+    return TwoQubitState(_normalized_gram(g))
 
 
 def bounded_purity_state(rng: np.random.Generator) -> TwoQubitState:
@@ -282,67 +358,24 @@ def bounded_purity_state(rng: np.random.Generator) -> TwoQubitState:
     return s
 
 
-# Floats one channel's draw yields: the Kraus weights w (4), then the unit
-# axis (3) and angle of U_a and of U_b.
-UNITAL_DRAW = 12
-
-
-def _axis_angle_draw(rng: np.random.Generator) -> list:
-    """[x, y, z, angle] of a rotation: the axis v / |v| uniform on the
-    sphere and the angle 2 pi r uniform on [0, 2pi).
-
-    v is a normal draw, redrawn while |v| <= 1e-12.  r is ``rng.random()``,
-    which takes the generator step that ``rng.uniform(0, 2pi)`` takes and
-    gives the same angle, 0 + 2pi r.
-    """
-    while True:
-        v = rng.normal(size=3)
-        n = math.sqrt(v.dot(v))  # rounds as np.linalg.norm(v), without its overhead
-        if n > 1e-12:
-            x, y, z = v.tolist()
-            return [x / n, y / n, z / n, 2.0 * math.pi * rng.random()]
-
-
-def _unital_draw(rng: np.random.Generator) -> list:
-    """The UNITAL_DRAW floats of one random unital channel
-    sqrt(w_k) U_a sigma_k U_b, drawn in order.
-
-    The scaling triple lambda is uniform on the CP tetrahedron with
-    corners (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), by rejection from
-    the cube: each coordinate is -1 + 2r, bit for bit what
-    ``rng.uniform(-1, 1)`` returns.  Its Kraus weights are w_k = s_k / 4
-    with s_k = 1 +- l0 +- l1 +- l2; each s_k is a multiple of 2^-52, so
-    scaling it by 1/4 is exact and keeps its sign.  Then come the
-    axis-angle draws of U_a and of U_b.
-    """
-    while True:
-        r0, r1, r2 = rng.random(3).tolist()
-        l0, l1, l2 = -1.0 + 2.0 * r0, -1.0 + 2.0 * r1, -1.0 + 2.0 * r2
-        s0, s1 = 1.0 + l0 + l1 + l2, 1.0 + l0 - l1 - l2
-        s2, s3 = 1.0 - l0 + l1 - l2, 1.0 - l0 - l1 + l2
-        if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0:
-            return [0.25 * s0, 0.25 * s1, 0.25 * s2, 0.25 * s3,
-                    *_axis_angle_draw(rng), *_axis_angle_draw(rng)]
-
-
 def _unital_ptms(draws: np.ndarray) -> np.ndarray:
     """Transfer matrices (..., 4, 4) of the unital channels with draws
-    (..., UNITAL_DRAW) from ``_unital_draw``."""
-    rotations = draws[..., 4:].reshape(draws.shape[:-1] + (2, 4))
+    (..., UNITAL_DRAW) from ``_draws``."""
+    rotations = draws[..., 4:].reshape(draws.shape[:-1] + (2, ROTATION_DRAW))
     return channels._unital_channels(draws[..., :4], rotations[..., :3], rotations[..., 3])
 
 
 def sample_unital_local(rng: np.random.Generator) -> tuple:
     """Pair of independent random local unital channels, each rotation o
     diag(lambda) o rotation with lambda uniform on the CP tetrahedron."""
-    draws = np.array([_unital_draw(rng), _unital_draw(rng)])
+    draws = _draws([rng], 1, unital=2).reshape(2, UNITAL_DRAW)
     return tuple(channels.QubitChannel(m) for m in _unital_ptms(draws))
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Axis uniform on the sphere, angle uniform on [0, 2pi)."""
-    x, y, z, angle = _axis_angle_draw(rng)
-    return su2_axis_angle([x, y, z], angle)
+    draw = _draws([rng], 1, rotations=1)[0]
+    return su2_axis_angle(draw[:3], draw[3])
 
 
 def random_bell_params(rng: np.random.Generator) -> BellDiagonalParams:
@@ -363,24 +396,17 @@ def _check_trials(n_trials: int) -> None:
         raise ValueError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
 
 
-def _unital_draws(rng: np.random.Generator) -> list:
-    """A trial's random inputs as 32 + 2 * UNITAL_DRAW floats, drawn in
-    order from its generator as ``ginibre_state`` and
-    ``sample_unital_local`` draw them: the 32 normals of the Ginibre
-    matrix, then the draws of channels A and B."""
-    return [*rng.normal(size=32).tolist(), *_unital_draw(rng), *_unital_draw(rng)]
-
-
 def _unital_rises(draws: np.ndarray) -> np.ndarray:
     """RSP-fidelity after minus before of stacked trials with draws
-    (n, 32 + 2 * UNITAL_DRAW) from ``_unital_draws``.
+    (n, GINIBRE_DRAW + 2 * UNITAL_DRAW) from ``_draws``: the normals of
+    a Ginibre matrix, then channels A and B.
 
     The states rho = G G^dag / tr, the channels and the after-states are
     validated as ``ginibre_state``, ``sample_unital_local`` and
     ``apply_local`` validate them.
     """
-    c = states._coefficients(_normalized_gram(_ginibre_from_normals(draws[:, :32])))
-    ptm = _unital_ptms(draws[:, 32:].reshape(-1, 2, UNITAL_DRAW))
+    c = states._coefficients(_normalized_gram(_ginibre_from_normals(draws[:, :GINIBRE_DRAW])))
+    ptm = _unital_ptms(draws[:, GINIBRE_DRAW:].reshape(-1, 2, UNITAL_DRAW))
     after = states._coefficients(states._density(channels._product_action(ptm[:, 0], c, ptm[:, 1])))
     f = measures._rsp_fidelities(np.stack([c, after]))
     return f[1] - f[0]
@@ -400,7 +426,7 @@ def unital_monotonicity_suite(n_trials: int = 10000, seed: int = 0) -> OracleRep
     worst_idx = -1
     for start in range(0, n_trials, SUITE_CHUNK):
         stop = min(start + SUITE_CHUNK, n_trials)
-        draws = np.array([_unital_draws(r) for r in seeding.trial_rngs(seed, start, stop)])
+        draws = _draws(seeding.trial_rngs(seed, start, stop), stop - start, GINIBRE_DRAW, 2)
         rises = _unital_rises(draws)
         k = int(np.argmax(rises))
         if rises[k] > worst:

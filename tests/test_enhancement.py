@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rsplab.channels import amplitude_damping, apply_local
 from rsplab.enhancement import (
     GAIN_TOL,
+    MAX_POINTS,
     _crossings,
     dg_under_damping,
     enhance_report,
@@ -213,6 +214,22 @@ def test_p_opt_is_sweep_maximum():
     p_star = p_opt((-1.0, 0.0, 0.0))
     assert abs(p_best - p_star) <= 1e-3
     assert f_best <= f_under_damping((-1.0, 0.0, 0.0), p_star) + 1e-12
+
+
+def test_sweep_best_p_bounds_its_points_before_allocating(monkeypatch):
+    # the least grid with an interior point has 3 points; each refusal
+    # names the range and allocates nothing
+    assert sweep_best_p((-1.0, 0.0, 0.0), n=3) == (0.5, 0.03125)
+    assert sweep_best_p((-1.0, 0.0, 0.0), n=np.int64(MAX_POINTS))[0] == pytest.approx(p_opt((-1.0, 0.0, 0.0)), abs=1e-5)
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("the grid was allocated before the check")
+
+    monkeypatch.setattr(np, "linspace", allocated)
+    for bad in (2, 0, -1, MAX_POINTS + 1, 10**12, 5.0, True, "7", None):
+        with pytest.raises(ValueError) as exc:
+            sweep_best_p((-1.0, 0.0, 0.0), n=bad)
+        assert str(exc.value) == f"points must be an integer in [3, {MAX_POINTS}], got {bad!r}"
 
 
 def test_enhance_report_fields():

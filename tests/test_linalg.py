@@ -19,7 +19,7 @@ from rsplab.linalg import (
     psd_lowest,
     su2_axis_angle,
 )
-from rsplab.states import TwoQubitState, state_from_json
+from rsplab.states import TwoQubitState, bell_diagonal, state_from_json
 
 from references import rotation_axis_angle
 
@@ -113,6 +113,49 @@ def test_psd_lowest_tolerance_edge():
     assert psd_lowest(np.diag([1.0, -1e-10]).astype(complex)) is None
     assert psd_lowest(np.diag([1.0, -5e-10]).astype(complex)) == -5e-10
     assert psd_lowest(np.diag([1.0, -1e-8]).astype(complex)) == -1e-8
+
+
+def _valid_stacks(rng):
+    """Density-matrix stacks the certificate must accept on its own:
+    Ginibre states, pure product states (rank 1), the four Bell corners
+    (rank 1), (|00><00| + |11><11|)/2 (rank 2) and the maximally mixed
+    state."""
+    g = rng.normal(size=(64, 4, 4)) + 1.0j * rng.normal(size=(64, 4, 4))
+    ginibre = g @ g.conj().swapaxes(-1, -2)
+    ginibre /= np.trace(ginibre, axis1=-2, axis2=-1).real[:, None, None]
+    kets = rng.normal(size=(32, 2, 2)) + 1.0j * rng.normal(size=(32, 2, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    product = np.einsum("ni,nj->nij", kets[:, 0], kets[:, 1]).reshape(32, 4)
+    pure = product[:, :, None] * product[:, None, :].conj()
+    corners = np.stack([bell_diagonal(*c).rho for c in
+                        [(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)]])
+    classical = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)[None]
+    mixed = np.eye(4, dtype=complex)[None] / 4
+    return [ginibre, pure, corners, classical, mixed]
+
+
+def test_psd_lowest_certifies_valid_stacks_without_an_eigensolve(monkeypatch):
+    # one Cholesky factorization of the shifted stack accepts every valid
+    # state, rank-deficient ones too, with no eigensolve
+    stacks = _valid_stacks(np.random.default_rng(31))
+
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a valid stack")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigensolve)
+    for stack in stacks:
+        assert psd_lowest(stack) is None
+        assert all(psd_lowest(rho) is None for rho in stack)
+    assert psd_lowest(np.concatenate(stacks)) is None
+
+
+def test_psd_lowest_rejection_is_the_eigensolve_of_the_stack():
+    # a failed certificate leaves the verdict and the reported eigenvalue
+    # to eigvalsh(stack), as if no factorization had run
+    valid = np.concatenate(_valid_stacks(np.random.default_rng(32)))
+    for bad in (np.diag([0.5, 0.5, 0.3, -0.3]), np.diag([1.0, 1e-9, 0.0, -5e-10])):
+        stack = np.concatenate([valid, bad.astype(complex)[None], valid])
+        assert psd_lowest(stack) == np.linalg.eigvalsh(stack)[..., 0].min()
 
 
 def test_psd_check_rejects_non_hermitian():

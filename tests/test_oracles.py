@@ -10,6 +10,7 @@ from rsplab.channels import apply_local, depolarizing, phase_flip
 from rsplab.linalg import su2_axis_angle
 from rsplab.measures import gmqd, rsp_fidelity
 from rsplab.oracles import (
+    GINIBRE_DRAW,
     MAX_TRIALS,
     SUITE_CHUNK,
     OracleReport,
@@ -219,11 +220,23 @@ def _unital_split(monkeypatch, draws):
     return g, params, ptm
 
 
+def _same_bits(a, b):
+    """True iff a and b hold the same floats bit for bit; np.array_equal
+    takes -0.0 for 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _suite_draws(rngs, n):
+    """The unital suite's draws of n trials from the generators rngs."""
+    return oracles._draws(rngs, n, GINIBRE_DRAW, 2)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_unital_draws_match_uniform_and_normal_calls(seed, monkeypatch):
     n = SUITE_CHUNK + 1
-    draws = np.array([oracles._unital_draws(np.random.default_rng([seed, i]))
-                      for i in range(n)])
+    draws = _suite_draws((np.random.default_rng([seed, i]) for i in range(n)), n)
     g, params, _ = _unital_split(monkeypatch, draws)
     ref_g, ref_params = [], []
     for i in range(n):
@@ -231,13 +244,51 @@ def test_unital_draws_match_uniform_and_normal_calls(seed, monkeypatch):
         re = rng.normal(size=(4, 4))
         ref_g.append(re + 1.0j * rng.normal(size=(4, 4)))
         ref_params.append(_reference_pair(rng))
-    assert np.array_equal(g, np.array(ref_g))
+    assert _same_bits(g, np.array(ref_g))
     for got_x, ref_x in zip(params, zip(*ref_params)):
-        assert np.array_equal(got_x, np.array(ref_x))
+        assert _same_bits(got_x, np.array(ref_x))
     # sample_unital_local draws its pair the same way
     ptm = channels._unital_channels(*_reference_pair(np.random.default_rng(seed)))
     for ch, m in zip(sample_unital_local(np.random.default_rng(seed)), ptm):
-        assert np.array_equal(ch.ptm, m)
+        assert _same_bits(ch.ptm, m)
+
+
+class _SignedZeroNormals:
+    """A generator whose every other standard normal is -0.0, with the
+    calls that the draws and their references make; ``normal`` computes
+    0 + 1 z from its standard normals, as numpy's does."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size=None, out=None):
+        z = self._rng.standard_normal(size, out=out)
+        z[::2] = -0.0
+        return z
+
+    def normal(self, size):
+        return 0.0 + 1.0 * self.standard_normal(size)
+
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
+
+    def uniform(self, low, high, size=None):
+        return low + (high - low) * self.random(size)
+
+
+def test_draws_give_the_floats_of_normal_at_signed_zeros():
+    # standard_normal keeps an exact -0.0 that normal(0, 1) turns into
+    # +0.0: the draws, axes divided by their norm too, carry normal's
+    got = oracles._draws([_SignedZeroNormals(4)], 1, GINIBRE_DRAW, 2, 1)[0]
+    rng = _SignedZeroNormals(4)
+    expected = list(rng.normal(GINIBRE_DRAW))
+    for w, axes, angles in zip(*_reference_pair(rng)):
+        expected += [*w, *axes[0], angles[0], *axes[1], angles[1]]
+    v = rng.normal(3)
+    expected += [*(v / np.linalg.norm(v)), rng.uniform(0.0, 2.0 * np.pi)]
+    expected = np.array(expected)
+    assert (expected[:GINIBRE_DRAW:2] == 0.0).all() and not np.signbit(expected[expected == 0.0]).any()
+    assert _same_bits(got, expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -245,8 +296,8 @@ def test_suite_unital_channels_have_no_translation(seed):
     # Kraus weights summing to 1 on U_a sigma_k U_b fix I/2, so t = 0 up to
     # rounding: the property that no runtime check tests any more, over the
     # channel draws of a chunk of suite trials
-    draws = np.array([oracles._unital_draws(rng) for rng in seeding.trial_rngs(seed, 0, SUITE_CHUNK)])
-    ptm = oracles._unital_ptms(draws[:, 32:].reshape(-1, 2, oracles.UNITAL_DRAW))
+    draws = _suite_draws(seeding.trial_rngs(seed, 0, SUITE_CHUNK), SUITE_CHUNK)
+    ptm = oracles._unital_ptms(draws[:, GINIBRE_DRAW:].reshape(-1, 2, oracles.UNITAL_DRAW))
     assert ptm.shape == (SUITE_CHUNK, 2, 4, 4)
     assert np.linalg.norm(ptm[..., 1:, 0], axis=-1).max() <= 1e-15
 
@@ -317,13 +368,13 @@ def test_suite_channels_match_sample_unital_local(monkeypatch):
     # trial i's channels in the suite are those sample_unital_local builds
     # from the same generator after the state's draws
     seed, n = 6, 25
-    draws = np.array([oracles._unital_draws(r) for r in seeding.trial_rngs(seed, 0, n)])
+    draws = _suite_draws(seeding.trial_rngs(seed, 0, n), n)
     _, _, ptm = _unital_split(monkeypatch, draws)
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         ginibre_state(rng)
         for k, ch in enumerate(sample_unital_local(rng)):
-            assert np.array_equal(ch.ptm, ptm[i, k])
+            assert _same_bits(ch.ptm, ptm[i, k])
 
 
 def test_monotonicity_suite_independent_of_chunking(monkeypatch):
